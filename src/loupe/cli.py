@@ -378,7 +378,7 @@ def cmd_lattice(args, caps: Caps) -> int:
         print(json.dumps(summary, indent=2))
     else:
         print(
-            f"nodes: {summary['nodes'] if isinstance(summary['nodes'], int) else len(summary['nodes'])}\n"
+            f"nodes: {len(summary['nodes'])}\n"
             f"modular: {summary['modular']}\n"
             f"distributive: {summary['distributive']}"
         )

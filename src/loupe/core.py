@@ -117,8 +117,12 @@ def validate_loop(table, labels=None) -> FiniteLoop:
 
     Raises ``LatinRowViolation`` / ``LatinColumnViolation`` on the first
     duplicated value and ``NoIdentity`` when no two-sided identity exists.
+    Entries must be ints: floats and bools raise ``ValueError``.
     """
-    rows = tuple(tuple(int(v) for v in row) for row in table)
+    rows = tuple(map(tuple, table))
+    if not set(map(type, chain.from_iterable(rows))) <= {int}:
+        i, v = next((i, v) for i, row in enumerate(rows) for v in row if type(v) is not int)
+        raise ValueError(f"entry {v!r} in row {i} is not an integer")
     size = len(rows)
     if size == 0:
         raise NoIdentity()
@@ -461,6 +465,41 @@ def element_order(L: FiniteLoop, x: int) -> int | None:
     return k
 
 
+def is_cyclic_group(L: FiniteLoop, S: SubLoop) -> bool:
+    """True iff S is a group generated by one of its elements."""
+    if not is_subgroup(L, S):
+        return False
+    sub = subloop_as_loop(L, S)
+    if sub.size == 1:
+        return True
+    for g in range(1, sub.size):
+        seen = {0}
+        cur = g
+        while cur != 0:
+            seen.add(cur)
+            cur = sub.table[cur][g]
+        if len(seen) == sub.size:
+            return True
+    return False
+
+
+def factorize(n: int) -> list[tuple[int, int]]:
+    """Prime factorisation of n >= 1 as ascending (prime, exponent) pairs."""
+    out = []
+    d, left = 2, n
+    while d * d <= left:
+        if left % d == 0:
+            a = 0
+            while left % d == 0:
+                left //= d
+                a += 1
+            out.append((d, a))
+        d += 1
+    if left > 1:
+        out.append((left, 1))
+    return out
+
+
 def power_ambiguity(L: FiniteLoop, x: int) -> tuple[int, int, int] | None:
     """An associativity failure inside <x>, or None when x has a clean order."""
     gen = generated_subloop(L, (x,))
@@ -494,19 +533,31 @@ def is_associative(L: FiniteLoop) -> bool:
     )
 
 
-def permutation_order(perm: tuple[int, ...]) -> int:
+def compose(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
+    """Apply q first, then p."""
+    return tuple(p[v] for v in q)
+
+
+def cycles(perm: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """Disjoint cycles, each led by its smallest member, sorted by leader."""
     seen = [False] * len(perm)
-    lengths = []
-    for s in range(len(perm)):
-        if seen[s]:
+    out = []
+    for start in range(len(perm)):
+        if seen[start]:
             continue
-        n, cur = 0, s
-        while not seen[cur]:
+        cyc = [start]
+        seen[start] = True
+        cur = perm[start]
+        while cur != start:
+            cyc.append(cur)
             seen[cur] = True
             cur = perm[cur]
-            n += 1
-        lengths.append(n)
-    return lcm(*lengths) if lengths else 1
+        out.append(tuple(cyc))
+    return out
+
+
+def permutation_order(perm: tuple[int, ...]) -> int:
+    return lcm(*(len(cyc) for cyc in cycles(perm)))
 
 
 @dataclass(frozen=True)

@@ -16,10 +16,12 @@ from . import substructures
 from .config import DEFAULT_CAPS, Caps
 from .core import (
     FiniteLoop,
+    associator,
+    compose,
     generated_subloop,
     is_commutative_subset,
+    is_cyclic_group,
     is_subgroup,
-    subloop_as_loop,
     two_sided_inverse,
 )
 from .errors import CapExceeded, NotIPLoop, SizeCapExceeded
@@ -59,12 +61,6 @@ class Law(enum.Enum):
     IP = "ip"
 
 
-def _assoc(L, x, y, z):
-    lhs = L.table[L.table[x][y]][z]
-    rhs = L.table[x][L.table[y][z]]
-    return L.ldiv(rhs, lhs)
-
-
 _BINARY_LAWS = {
     Law.COMMUTATIVE: lambda t, x, y: t[x][y] == t[y][x],
     Law.LEFT_ALTERNATIVE: lambda t, x, y: t[t[x][x]][y] == t[x][t[x][y]],
@@ -79,6 +75,22 @@ _TERNARY_LAWS = {
     Law.MOUFANG3: lambda t, x, y, z: t[x][t[y][t[x][z]]] == t[t[t[x][y]][x]][z],
     Law.BOL: lambda t, x, y, z: t[t[t[x][y]][z]][y] == t[x][t[t[y][z]][y]],
 }
+
+
+def _bruck_triple(t, x, y, z) -> bool:
+    """The Bruck loop's left Bol half: (x(yx))z = x(y(xz))."""
+    return t[t[x][t[y][x]]][z] == t[x][t[y][t[x][z]]]
+
+
+def _inverse_table(L: FiniteLoop) -> list[int] | Verdict:
+    """Two-sided inverses in element order, or a failing Verdict at the first one missing."""
+    inv = []
+    for x in range(L.size):
+        ix = two_sided_inverse(L, x)
+        if ix is None:
+            return Verdict(False, (x,), "no two-sided inverse")
+        inv.append(ix)
+    return inv
 
 
 def check_law(L: FiniteLoop, law: Law) -> Verdict:
@@ -113,7 +125,7 @@ def check_law(L: FiniteLoop, law: Law) -> Verdict:
         for x in range(size):
             for y in range(size):
                 for z in range(size):
-                    if _assoc(L, x, y, z) != _assoc(L, y, z, x):
+                    if associator(L, x, y, z) != associator(L, y, z, x):
                         return Verdict(False, (x, y, z))
         return Verdict(True)
     if law is Law.JORDAN:
@@ -138,24 +150,18 @@ def check_law(L: FiniteLoop, law: Law) -> Verdict:
                     return Verdict(False, (x, y), "x(xy) = y fails")
         return Verdict(True)
     if law is Law.IP:
-        inv = []
-        for x in range(size):
-            ix = two_sided_inverse(L, x)
-            if ix is None:
-                return Verdict(False, (x,), "no two-sided inverse")
-            inv.append(ix)
+        inv = _inverse_table(L)
+        if isinstance(inv, Verdict):
+            return inv
         for x in range(size):
             for y in range(size):
                 if t[inv[x]][t[x][y]] != y or t[t[y][x]][inv[x]] != y:
                     return Verdict(False, (x, y))
         return Verdict(True)
     if law is Law.BRUCK:
-        inv = []
-        for x in range(size):
-            ix = two_sided_inverse(L, x)
-            if ix is None:
-                return Verdict(False, (x,), "no two-sided inverse")
-            inv.append(ix)
+        inv = _inverse_table(L)
+        if isinstance(inv, Verdict):
+            return inv
         for x in range(size):
             for y in range(size):
                 if inv[t[x][y]] != t[inv[x]][inv[y]]:
@@ -163,7 +169,7 @@ def check_law(L: FiniteLoop, law: Law) -> Verdict:
         for x in range(size):
             for y in range(size):
                 for z in range(size):
-                    if t[t[x][t[y][x]]][z] != t[x][t[y][t[x][z]]]:
+                    if not _bruck_triple(t, x, y, z):
                         return Verdict(False, (x, y, z), "x(yx)z = x(y(xz)) fails")
         return Verdict(True)
     raise ValueError(f"unknown law {law}")
@@ -247,21 +253,6 @@ class SpecialKind(enum.Enum):
 PSEUDO_COMMUTATIVE_VARIANTS = ("ax.b=bx.a", "ax.b=b.xa", "a.xb=bx.a", "a.xb=b.xa")
 
 
-def _is_cyclic_group_subset(L, S) -> bool:
-    if not is_subgroup(L, S):
-        return False
-    sub = subloop_as_loop(L, S)
-    for g in range(sub.size):
-        seen = {0}
-        cur = g
-        while cur != 0:
-            seen.add(cur)
-            cur = sub.table[cur][g]
-        if len(seen) == sub.size:
-            return True
-    return sub.size == 1
-
-
 def special_commutativity(
     L: FiniteLoop,
     kind: SpecialKind,
@@ -322,7 +313,7 @@ def special_commutativity(
             if (
                 kind is SpecialKind.STRICTLY_INNER_COMMUTATIVE
                 and S.order >= 2
-                and _is_cyclic_group_subset(L, S)
+                and is_cyclic_group(L, S)
             ):
                 return Verdict(False, S.elements, "proper subloop is a cyclic group")
         return Verdict(True)
@@ -383,11 +374,6 @@ def special_commutativity(
     raise ValueError(f"unknown kind {kind}")
 
 
-def _compose(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
-    # apply q first, then p
-    return tuple(p[v] for v in q)
-
-
 def multiplication_group(L: FiniteLoop, cap: int = DEFAULT_CAPS.mlt) -> list[tuple[int, ...]]:
     """Closure of all left/right translations under composition, sorted.
 
@@ -405,7 +391,7 @@ def multiplication_group(L: FiniteLoop, cap: int = DEFAULT_CAPS.mlt) -> list[tup
         fresh = []
         for p in frontier:
             for g in gens:
-                q = _compose(p, g)
+                q = compose(p, g)
                 if q not in seen:
                     seen.add(q)
                     fresh.append(q)
@@ -438,7 +424,7 @@ def is_arif(L: FiniteLoop, cap: int = DEFAULT_CAPS.mlt) -> Verdict:
         raise NotIPLoop(ip.witness)
     j = tuple(two_sided_inverse(L, x) for x in range(L.size))
     for theta in inner_mapping_group(L, cap):
-        if _compose(j, _compose(theta, j)) != theta:
+        if compose(j, compose(theta, j)) != theta:
             return Verdict(False, (theta,))
     return Verdict(True)
 

@@ -8,7 +8,14 @@ of its principal isotopes.
 from __future__ import annotations
 
 from .config import DEFAULT_CAPS, Caps
-from .core import FiniteLoop, SubLoop, find_isomorphism, subloop_as_loop, validate_loop
+from .core import (
+    FiniteLoop,
+    SubLoop,
+    find_isomorphism,
+    is_subgroup,
+    subloop_as_loop,
+    validate_loop,
+)
 from .errors import BadIndex, CapExceeded, NotAnSSubloop
 from .identities import Verdict
 from . import smarandache
@@ -51,8 +58,6 @@ def s_principal_isotope(L: FiniteLoop, A: SubLoop, a: int, b: int) -> FiniteLoop
     subgroups) a subgroup.  ``a`` and ``b`` are parent-loop element indices
     and must lie in A.
     """
-    from .core import is_subgroup
-
     if not smarandache.is_s_subloop(L, A) and not is_subgroup(L, A):
         raise NotAnSSubloop("subloop carries no subgroup of size two or more")
     if a not in A.elements or b not in A.elements:
@@ -65,23 +70,14 @@ def is_s_g_loop(L: FiniteLoop, caps: Caps = DEFAULT_CAPS) -> Verdict:
     """Some S-subloop is isomorphic to all of its own principal isotopes.
 
     A loop without S-subloops is never an S-G-loop (there is nothing to take
-    isotopes of at the subloop level).
+    isotopes of at the subloop level).  Each S-subloop's check is bounded by
+    ``caps.search``, as in ``is_g_loop``.
     """
     structures = smarandache.s_substructures(L, caps)
     if not structures.s_subloops:
         return Verdict(False, None, "no S-subloops")
     for A in structures.s_subloops:
-        sub = subloop_as_loop(L, A)
-        good = True
-        for a in range(sub.size):
-            for b in range(sub.size):
-                iso = principal_isotope(sub, a, b)
-                if find_isomorphism(sub, iso) is None:
-                    good = False
-                    break
-            if not good:
-                break
-        if good:
+        if is_g_loop(subloop_as_loop(L, A), caps.search):
             return Verdict(True, A.elements)
     return Verdict(False)
 

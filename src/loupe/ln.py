@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
 
-from .core import CycleClass, FiniteLoop, SubLoop, default_labels
+from .core import CycleClass, FiniteLoop, SubLoop, default_labels, factorize
 from .errors import BadIndex, InvalidN, InvalidParams, NotADivisor
 
 
@@ -80,27 +80,11 @@ def enumerate_ln_params(n: int) -> list[int]:
     return [m for m in range(2, n) if gcd(m, n) == 1 and gcd(m - 1, n) == 1]
 
 
-def _factorize(n: int) -> list[tuple[int, int]]:
-    out = []
-    d, left = 2, n
-    while d * d <= left:
-        if left % d == 0:
-            a = 0
-            while left % d == 0:
-                left //= d
-                a += 1
-            out.append((d, a))
-        d += 1
-    if left > 1:
-        out.append((left, 1))
-    return out
-
-
 def count_ln(n: int) -> int:
     """Family size: the product of (p-2)*p^(a-1) over prime powers p^a of n."""
     _check_n(n)
     total = 1
-    for p, a in _factorize(n):
+    for p, a in factorize(n):
         total *= (p - 2) * p ** (a - 1)
     return total
 
@@ -109,7 +93,7 @@ def count_strictly_noncommutative(n: int) -> int:
     """Number of family members with xy != yx for every distinct non-identity pair."""
     _check_n(n)
     total = 1
-    for p, a in _factorize(n):
+    for p, a in factorize(n):
         total *= (p - 3) * p ** (a - 1)
     return total
 
@@ -181,7 +165,7 @@ def predicted_normalizers(params: LnParams, i: int, t: int) -> tuple[SubLoop, Su
 
 def _euler_phi(k: int) -> int:
     res = k
-    for p, _ in _factorize(k):
+    for p, _ in factorize(k):
         res -= res // p
     return res
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .config import DEFAULT_CAPS, Caps
-from .core import CycleClass, FiniteLoop, SubLoop, permutation_order
+from .core import CycleClass, FiniteLoop, SubLoop, compose, cycles, permutation_order
 from .errors import HasSSubloops, NotAnSSubloop
 from .identities import Verdict
 from . import smarandache
@@ -23,24 +23,6 @@ Permutation = tuple[int, ...]
 def right_regular_representation(L: FiniteLoop) -> list[Permutation]:
     """[R_a for each element a], with R_e the identity at position 0."""
     return [tuple(L.table[x][a] for x in range(L.size)) for a in range(L.size)]
-
-
-def cycles(perm: Permutation) -> list[tuple[int, ...]]:
-    """Disjoint cycles, each led by its smallest member, sorted by leader."""
-    seen = [False] * len(perm)
-    out = []
-    for start in range(len(perm)):
-        if seen[start]:
-            continue
-        cyc = [start]
-        seen[start] = True
-        cur = perm[start]
-        while cur != start:
-            cyc.append(cur)
-            seen[cur] = True
-            cur = perm[cur]
-        out.append(tuple(cyc))
-    return out
 
 
 def cycle_class(perm: Permutation) -> CycleClass:
@@ -130,7 +112,8 @@ def s_representation(L: FiniteLoop, A: SubLoop) -> list[Permutation]:
     """Translations indexed by an S-subloop, still acting on all of L."""
     if not smarandache.is_s_subloop(L, A):
         raise NotAnSSubloop("the supplied subloop is not an S-subloop")
-    return [tuple(L.table[x][a] for x in range(L.size)) for a in A.elements]
+    perms = right_regular_representation(L)
+    return [perms[a] for a in A.elements]
 
 
 def s_pseudo_representation(
@@ -141,19 +124,12 @@ def s_pseudo_representation(
     if structures.s_subloops:
         raise HasSSubloops("loop has S-subloops; use s_representation instead")
     census = smarandache.all_subloops(L, caps)
-    out = []
-    for B in census.subgroups():
-        if B.order < 2 or not B.is_proper():
-            continue
-        out.append(
-            (B, [tuple(L.table[x][b] for x in range(L.size)) for b in B.elements])
-        )
-    return out
-
-
-def compose(p: Permutation, q: Permutation) -> Permutation:
-    """Apply q first, then p."""
-    return tuple(p[v] for v in q)
+    perms = right_regular_representation(L)
+    return [
+        (B, [perms[b] for b in B.elements])
+        for B in census.subgroups()
+        if B.order >= 2 and B.is_proper()
+    ]
 
 
 __all__ = [

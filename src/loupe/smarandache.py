@@ -12,29 +12,51 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from itertools import permutations
 
 from .config import DEFAULT_CAPS, Caps
 from .core import (
     FiniteLoop,
     SubLoop,
-    associator,
-    certify_subloop,
     commutator,
     element_order,
+    factorize,
     generated_subloop,
     is_commutative_subset,
+    is_cyclic_group,
     is_subgroup,
     subloop_as_loop,
 )
 from .errors import (
     NotASubgroup,
+    NotIPLoop,
     NotNormal,
     NotPrime,
     QNotInSubloop,
     SearchCapExceeded,
 )
-from .identities import Law, Verdict, check_law, is_diassociative, is_power_associative
-from .substructures import SubloopCensus, all_subloops, first_normalizer, second_normalizer
+from .identities import (
+    _TERNARY_LAWS,
+    Law,
+    Verdict,
+    _bruck_triple,
+    check_law,
+    is_arif,
+    is_diassociative,
+    is_power_associative,
+)
+from .substructures import (
+    NucleusPosition,
+    SubloopCensus,
+    _associators,
+    _centre,
+    _moufang_centre,
+    _nucleus,
+    _pseudo_associators,
+    all_subloops,
+    first_normalizer,
+    second_normalizer,
+)
 
 
 def contains_proper_subgroup(L: FiniteLoop, A: SubLoop) -> bool:
@@ -84,11 +106,7 @@ def is_s_loop(L: FiniteLoop) -> Verdict:
 
 def is_normal_subgroup(L: FiniteLoop, A: SubLoop) -> bool:
     """mA = Am for every loop element m (the level-II normality condition)."""
-    t = L.table
-    elems = A.elements
-    return all(
-        {t[m][a] for a in elems} == {t[a][m] for a in elems} for m in range(L.size)
-    )
+    return first_normalizer(L, A) == frozenset(range(L.size))
 
 
 @dataclass(frozen=True)
@@ -129,19 +147,6 @@ def s_substructures(
     )
 
 
-def _prime_factors(n: int) -> list[int]:
-    out, d, left = [], 2, n
-    while d * d <= left:
-        if left % d == 0:
-            out.append(d)
-            while left % d == 0:
-                left //= d
-        d += 1
-    if left > 1:
-        out.append(left)
-    return out
-
-
 def satisfies_sylow_criteria(L: FiniteLoop) -> Verdict:
     """For every prime p dividing |L|, a subgroup of p-power order exists.
 
@@ -154,7 +159,7 @@ def satisfies_sylow_criteria(L: FiniteLoop) -> Verdict:
         k = element_order(L, x)
         if k is not None:
             orders.setdefault(k, x)
-    for p in _prime_factors(L.size):
+    for p, _ in factorize(L.size):
         if p not in orders:
             return Verdict(False, (p,), "no element of this prime order")
     return Verdict(True, tuple(sorted(orders.items())))
@@ -211,23 +216,6 @@ class SReport:
     witnesses: dict[str, object] = field(default_factory=dict)
 
 
-def _is_cyclic_group(L: FiniteLoop, S: SubLoop) -> bool:
-    if not is_subgroup(L, S):
-        return False
-    sub = subloop_as_loop(L, S)
-    if sub.size == 1:
-        return True
-    for g in range(1, sub.size):
-        seen = {0}
-        cur = g
-        while cur != 0:
-            seen.add(cur)
-            cur = sub.table[cur][g]
-        if len(seen) == sub.size:
-            return True
-    return False
-
-
 def s_classical_report(L: FiniteLoop, caps: Caps = DEFAULT_CAPS) -> SReport:
     """Compute every classical-style Smarandache flag by exhaustive scan."""
     census = all_subloops(L, caps)
@@ -272,7 +260,7 @@ def s_classical_report(L: FiniteLoop, caps: Caps = DEFAULT_CAPS) -> SReport:
     commutative = [S for S in subgroups if is_commutative_subset(L, S.elements)]
     flags["s_commutative"] = bool(commutative)
     flags["s_strongly_commutative"] = bool(subgroups) and len(commutative) == len(subgroups)
-    cyclic = [S for S in subgroups if _is_cyclic_group(L, S)]
+    cyclic = [S for S in subgroups if is_cyclic_group(L, S)]
     flags["s_cyclic"] = bool(cyclic)
     flags["s_strongly_cyclic"] = bool(subgroups) and len(cyclic) == len(subgroups)
 
@@ -284,7 +272,7 @@ def s_classical_report(L: FiniteLoop, caps: Caps = DEFAULT_CAPS) -> SReport:
     )
     normal_orders = {S.order for S in normal_subgroups}
     flags["s_sylow_criteria_ii"] = all(
-        p in normal_orders for p in _prime_factors(size)
+        p in normal_orders for p, _ in factorize(size)
     )
 
     assert set(flags) == set(_FLAG_NAMES)
@@ -313,7 +301,7 @@ def s_p_sylow(L: FiniteLoop, p: int, caps: Caps = DEFAULT_CAPS) -> SylowReport:
     the loop is a subgroup loop in which every subgroup has p-power order
     dividing |L|.
     """
-    if p < 2 or any(p % d == 0 for d in range(2, int(p ** 0.5) + 1)):
+    if p < 2 or factorize(p) != [(p, 1)]:
         raise NotPrime(f"{p} is not prime")
     if L.size % p != 0:
         raise NotPrime(f"{p} does not divide the loop order {L.size}")
@@ -358,6 +346,14 @@ class RelativeKind(enum.Enum):
     SECOND_NORMALIZER = "second_normalizer"
 
 
+_NUCLEUS_POSITIONS = {
+    RelativeKind.NUCLEUS_LEFT: NucleusPosition.LEFT,
+    RelativeKind.NUCLEUS_MIDDLE: NucleusPosition.MIDDLE,
+    RelativeKind.NUCLEUS_RIGHT: NucleusPosition.RIGHT,
+    RelativeKind.NUCLEUS: NucleusPosition.FULL,
+}
+
+
 def relative_substructure(L: FiniteLoop, A: SubLoop, kind: RelativeKind):
     """Classical substructures computed relative to a subloop A.
 
@@ -369,71 +365,22 @@ def relative_substructure(L: FiniteLoop, A: SubLoop, kind: RelativeKind):
     over associating triples from A.  Normalizers range over all of L and
     return element sets; everything else returns a certified subloop.
     """
-    t = L.table
-    inside = A.as_set()
     if kind is RelativeKind.COMMUTATOR:
         gens = {commutator(L, x, y) for x in A.elements for y in A.elements}
         return generated_subloop(L, gens)
     if kind is RelativeKind.ASSOCIATOR:
-        gens = set()
-        for x in range(L.size):
-            for y in range(L.size):
-                for z in range(L.size):
-                    w = associator(L, x, y, z)
-                    if w in inside:
-                        gens.add(w)
-        return generated_subloop(L, gens)
+        return generated_subloop(L, _associators(L) & A.as_set())
     if kind in (RelativeKind.PSEUDO_ASSOCIATOR, RelativeKind.STRONGLY_PSEUDO_ASSOCIATOR):
         candidates = (
             A.elements if kind is RelativeKind.PSEUDO_ASSOCIATOR else range(L.size)
         )
-        gens = set()
-        for a in A.elements:
-            for b in A.elements:
-                ab = t[a][b]
-                for c in A.elements:
-                    if t[ab][c] != t[a][t[b][c]]:
-                        continue
-                    bc = t[b][c]
-                    for w in candidates:
-                        if t[ab][t[w][c]] == t[t[a][w]][bc]:
-                            gens.add(w)
-        return generated_subloop(L, gens)
-    if kind in (
-        RelativeKind.NUCLEUS_LEFT,
-        RelativeKind.NUCLEUS_MIDDLE,
-        RelativeKind.NUCLEUS_RIGHT,
-        RelativeKind.NUCLEUS,
-    ):
-        def left_ok(a):
-            return all(t[t[a][x]][y] == t[a][t[x][y]] for x in A.elements for y in A.elements)
-
-        def middle_ok(a):
-            return all(t[t[x][a]][y] == t[x][t[a][y]] for x in A.elements for y in A.elements)
-
-        def right_ok(a):
-            return all(t[t[x][y]][a] == t[x][t[y][a]] for x in A.elements for y in A.elements)
-
-        tests = {
-            RelativeKind.NUCLEUS_LEFT: (left_ok,),
-            RelativeKind.NUCLEUS_MIDDLE: (middle_ok,),
-            RelativeKind.NUCLEUS_RIGHT: (right_ok,),
-            RelativeKind.NUCLEUS: (left_ok, middle_ok, right_ok),
-        }[kind]
-        members = [a for a in A.elements if all(ok(a) for ok in tests)]
-        return certify_subloop(L, members)
+        return generated_subloop(L, _pseudo_associators(L, A.elements, candidates, True))
+    if kind in _NUCLEUS_POSITIONS:
+        return _nucleus(L, A.elements, _NUCLEUS_POSITIONS[kind])
     if kind is RelativeKind.MOUFANG_CENTRE:
-        members = [
-            x for x in A.elements if all(t[x][y] == t[y][x] for y in A.elements)
-        ]
-        try:
-            return certify_subloop(L, members)
-        except Exception:
-            return generated_subloop(L, members)
+        return _moufang_centre(L, A.elements)
     if kind is RelativeKind.CENTRE:
-        sc = relative_substructure(L, A, RelativeKind.MOUFANG_CENTRE).as_set()
-        sn = relative_substructure(L, A, RelativeKind.NUCLEUS).as_set()
-        return certify_subloop(L, sc & sn)
+        return _centre(L, A.elements)
     if kind is RelativeKind.FIRST_NORMALIZER:
         return first_normalizer(L, A)
     if kind is RelativeKind.SECOND_NORMALIZER:
@@ -474,9 +421,6 @@ def _s_subloop_satisfies(L: FiniteLoop, A: SubLoop, law) -> bool:
     if law is SLaw.POWER_ASSOCIATIVE:
         return is_power_associative(sub).holds
     if law is SLaw.ARIF:
-        from .errors import NotIPLoop
-        from .identities import is_arif
-
         try:
             return is_arif(sub).holds
         except NotIPLoop:
@@ -520,28 +464,24 @@ class TripleLaw(enum.Enum):
     BRUCK = "bruck"
 
 
+_TRIPLE_LAWS = {
+    TripleLaw.BOL: _TERNARY_LAWS[Law.BOL],
+    TripleLaw.MOUFANG: _TERNARY_LAWS[Law.MOUFANG1],
+    TripleLaw.BRUCK: _bruck_triple,
+}
+
+
 def special_triple(
     L: FiniteLoop, x: int, y: int, z: int, law: TripleLaw, strong: bool = False
 ) -> Verdict:
     """Evaluate one identity instance on a specific triple (all 6 orders if strong)."""
     t = L.table
-
-    def bol(a, b, c):
-        return t[t[t[a][b]][c]][b] == t[a][t[t[b][c]][b]]
-
-    def moufang(a, b, c):
-        return t[t[a][b]][t[c][a]] == t[t[a][t[b][c]]][a]
-
-    def bruck(a, b, c):
-        return t[t[a][t[b][a]]][c] == t[a][t[b][t[a][c]]]
-
-    pred = {TripleLaw.BOL: bol, TripleLaw.MOUFANG: moufang, TripleLaw.BRUCK: bruck}[law]
+    pred = _TRIPLE_LAWS[law]
     if not strong:
-        return Verdict(pred(x, y, z), None if pred(x, y, z) else (x, y, z))
-    from itertools import permutations
-
+        holds = pred(t, x, y, z)
+        return Verdict(holds, None if holds else (x, y, z))
     for perm in permutations((x, y, z)):
-        if not pred(*perm):
+        if not pred(t, *perm):
             return Verdict(False, perm)
     return Verdict(True)
 

@@ -103,19 +103,18 @@ class NucleusPosition(enum.Enum):
     FULL = "full"
 
 
-def nucleus(L: FiniteLoop, position: NucleusPosition = NucleusPosition.FULL) -> SubLoop:
-    """Elements whose associator vanishes in the given slot against all pairs."""
+def _nucleus(L: FiniteLoop, over, position: NucleusPosition) -> SubLoop:
+    """Elements a of ``over`` whose associator with every pair from ``over`` is e in a's slot."""
     t = L.table
-    size = L.size
 
     def left_ok(a):
-        return all(t[t[a][x]][y] == t[a][t[x][y]] for x in range(size) for y in range(size))
+        return all(t[t[a][x]][y] == t[a][t[x][y]] for x in over for y in over)
 
     def middle_ok(a):
-        return all(t[t[x][a]][y] == t[x][t[a][y]] for x in range(size) for y in range(size))
+        return all(t[t[x][a]][y] == t[x][t[a][y]] for x in over for y in over)
 
     def right_ok(a):
-        return all(t[t[x][y]][a] == t[x][t[y][a]] for x in range(size) for y in range(size))
+        return all(t[t[x][y]][a] == t[x][t[y][a]] for x in over for y in over)
 
     tests = {
         NucleusPosition.LEFT: (left_ok,),
@@ -123,16 +122,37 @@ def nucleus(L: FiniteLoop, position: NucleusPosition = NucleusPosition.FULL) -> 
         NucleusPosition.RIGHT: (right_ok,),
         NucleusPosition.FULL: (left_ok, middle_ok, right_ok),
     }[position]
-    members = [a for a in range(size) if all(ok(a) for ok in tests)]
+    members = [a for a in over if all(ok(a) for ok in tests)]
     return certify_subloop(L, members)
+
+
+def _commutant(L: FiniteLoop, over) -> frozenset[int]:
+    """Elements of ``over`` commuting with every element of ``over``."""
+    t = L.table
+    return frozenset(x for x in over if all(t[x][y] == t[y][x] for y in over))
+
+
+def _moufang_centre(L: FiniteLoop, over) -> SubLoop:
+    c = _commutant(L, over)
+    try:
+        return certify_subloop(L, c)
+    except NotClosed:
+        return generated_subloop(L, c)
+
+
+def _centre(L: FiniteLoop, over) -> SubLoop:
+    members = _commutant(L, over) & _nucleus(L, over, NucleusPosition.FULL).as_set()
+    return certify_subloop(L, members)
+
+
+def nucleus(L: FiniteLoop, position: NucleusPosition = NucleusPosition.FULL) -> SubLoop:
+    """Elements whose associator vanishes in the given slot against all pairs."""
+    return _nucleus(L, range(L.size), position)
 
 
 def commutant(L: FiniteLoop) -> frozenset[int]:
     """Elements commuting with everything; not necessarily product-closed."""
-    t = L.table
-    return frozenset(
-        x for x in range(L.size) if all(t[x][y] == t[y][x] for y in range(L.size))
-    )
+    return _commutant(L, range(L.size))
 
 
 def commutant_is_closed(L: FiniteLoop) -> bool:
@@ -150,17 +170,12 @@ def moufang_centre(L: FiniteLoop) -> SubLoop:
     generated subloop is returned instead; ``commutant_is_closed`` tells the
     two cases apart.
     """
-    c = commutant(L)
-    try:
-        return certify_subloop(L, c)
-    except NotClosed:
-        return generated_subloop(L, c)
+    return _moufang_centre(L, range(L.size))
 
 
 def centre(L: FiniteLoop) -> SubLoop:
     """Intersection of the commutant with the full nucleus; always a subgroup."""
-    members = commutant(L) & nucleus(L, NucleusPosition.FULL).as_set()
-    return certify_subloop(L, members)
+    return _centre(L, range(L.size))
 
 
 class DerivedKind(enum.Enum):
@@ -170,6 +185,37 @@ class DerivedKind(enum.Enum):
     STRONGLY_PSEUDO_COMMUTATOR = "strongly_pseudo_commutator"
     PSEUDO_ASSOCIATOR = "pseudo_associator"
     STRONGLY_PSEUDO_ASSOCIATOR = "strongly_pseudo_associator"
+
+
+def _associators(L: FiniteLoop) -> set[int]:
+    """Associators of all triples of L."""
+    size = L.size
+    gens = set()
+    for x in range(size):
+        for y in range(size):
+            for z in range(size):
+                gens.add(associator(L, x, y, z))
+    return gens
+
+
+def _pseudo_associators(L: FiniteLoop, domain, candidates, must_associate: bool) -> set[int]:
+    """The w in ``candidates`` with (ab)(wc) = (aw)(bc) for some triple over ``domain``.
+
+    With ``must_associate`` only triples with (ab)c = a(bc) count.
+    """
+    t = L.table
+    gens = set()
+    for a in domain:
+        for b in domain:
+            ab = t[a][b]
+            for c in domain:
+                if must_associate and t[ab][c] != t[a][t[b][c]]:
+                    continue
+                bc = t[b][c]
+                for w in candidates:
+                    if t[ab][t[w][c]] == t[t[a][w]][bc]:
+                        gens.add(w)
+    return gens
 
 
 def derived_subloop(L: FiniteLoop, kind: DerivedKind) -> SubLoop:
@@ -190,10 +236,7 @@ def derived_subloop(L: FiniteLoop, kind: DerivedKind) -> SubLoop:
             for y in range(size):
                 gens.add(commutator(L, x, y))
     elif kind is DerivedKind.ASSOCIATOR:
-        for x in range(size):
-            for y in range(size):
-                for z in range(size):
-                    gens.add(associator(L, x, y, z))
+        gens = _associators(L)
     elif kind is DerivedKind.PSEUDO_COMMUTATOR:
         for a in range(size):
             for b in range(size):
@@ -212,19 +255,9 @@ def derived_subloop(L: FiniteLoop, kind: DerivedKind) -> SubLoop:
                     pb = L.rdiv(u, t[u][b])
                     gens.add(L.rdiv(b, pb))
     elif kind in (DerivedKind.PSEUDO_ASSOCIATOR, DerivedKind.STRONGLY_PSEUDO_ASSOCIATOR):
-        for a in range(size):
-            for b in range(size):
-                ab = t[a][b]
-                for c in range(size):
-                    if (
-                        kind is DerivedKind.PSEUDO_ASSOCIATOR
-                        and t[ab][c] != t[a][t[b][c]]
-                    ):
-                        continue
-                    bc = t[b][c]
-                    for w in range(size):
-                        if t[ab][t[w][c]] == t[t[a][w]][bc]:
-                            gens.add(w)
+        gens = _pseudo_associators(
+            L, range(size), range(size), kind is DerivedKind.PSEUDO_ASSOCIATOR
+        )
     else:
         raise ValueError(f"unknown kind {kind}")
     return generated_subloop(L, gens)
@@ -293,10 +326,9 @@ def first_normalizer(L: FiniteLoop, H: SubLoop) -> frozenset[int]:
     """{a : aH = Ha} as sets."""
     t = L.table
     hs = H.elements
+    h_rows = [t[h] for h in hs]
     return frozenset(
-        a
-        for a in range(L.size)
-        if {t[a][h] for h in hs} == {t[h][a] for h in hs}
+        a for a in range(L.size) if {t[a][h] for h in hs} == {row[a] for row in h_rows}
     )
 
 

@@ -191,3 +191,21 @@ def test_caps_parsing():
     assert Caps.from_env("") == Caps()
     with pytest.raises(ValueError):
         Caps.from_env("nope=3")
+
+
+def test_report_rejects_float_table(capsys, tmp_path):
+    path = tmp_path / "float.json"
+    path.write_text('{"table": [[0.5, 1], [1, 0]]}')
+    code, out, err = run(capsys, "report", "--loop", str(path))
+    assert code == 2
+    assert out == ""
+    assert "0.5" in err
+
+
+def test_report_rejects_bool_table(capsys, tmp_path):
+    path = tmp_path / "bool.json"
+    path.write_text('{"table": [[false, true], [true, false]]}')
+    code, out, err = run(capsys, "report", "--loop", str(path))
+    assert code == 2
+    assert out == ""
+    assert "False" in err

@@ -380,3 +380,68 @@ def test_hyperloop_families_partition_for_corpus(corpus):
 def test_a_hyperloop_families_do_not_partition():
     for n, m in ((5, 2), (5, 4), (7, 4)):
         assert not hyper_partition_check(build_ln(n, m), "a_hyperloop").holds
+
+
+def _differential_loops():
+    """Groups and every L_n(m) with n <= 9."""
+    from loupe import enumerate_ln_params
+
+    klein = direct_product(cyclic_group(2), cyclic_group(2))
+    groups = [cyclic_group(1), cyclic_group(2), cyclic_group(6), klein, symmetric_group(3),
+              direct_product(symmetric_group(3), cyclic_group(2)), symmetric_group(4)]
+    family = [build_ln(n, m) for n in (5, 7, 9) for m in enumerate_ln_params(n)]
+    return groups + family
+
+
+def test_relative_substructures_of_whole_loop_match_absolute_ones():
+    from loupe.substructures import (
+        DerivedKind,
+        NucleusPosition,
+        centre,
+        derived_subloop,
+        moufang_centre,
+        nucleus,
+    )
+
+    for L in _differential_loops():
+        whole = certify_subloop(L, range(L.size))
+        pairs = [
+            (RelativeKind.NUCLEUS_LEFT, nucleus(L, NucleusPosition.LEFT)),
+            (RelativeKind.NUCLEUS_MIDDLE, nucleus(L, NucleusPosition.MIDDLE)),
+            (RelativeKind.NUCLEUS_RIGHT, nucleus(L, NucleusPosition.RIGHT)),
+            (RelativeKind.NUCLEUS, nucleus(L)),
+            (RelativeKind.MOUFANG_CENTRE, moufang_centre(L)),
+            (RelativeKind.CENTRE, centre(L)),
+            (RelativeKind.COMMUTATOR, derived_subloop(L, DerivedKind.COMMUTATOR)),
+            (RelativeKind.ASSOCIATOR, derived_subloop(L, DerivedKind.ASSOCIATOR)),
+            (RelativeKind.PSEUDO_ASSOCIATOR, derived_subloop(L, DerivedKind.PSEUDO_ASSOCIATOR)),
+        ]
+        for kind, absolute in pairs:
+            assert relative_substructure(L, whole, kind) == absolute, (L.size, kind)
+
+
+def test_is_normal_subgroup_is_normality_condition_one():
+    from loupe.core import normality_witness
+    from loupe.substructures import all_subloops
+
+    for L in _differential_loops():
+        for S in all_subloops(L).subloops:
+            witness = normality_witness(L, S)
+            condition_one = witness is None or witness[0] != 1
+            assert is_normal_subgroup(L, S) == condition_one, (L.size, S.elements)
+
+
+def test_is_cyclic_group():
+    from loupe.core import is_cyclic_group
+
+    def whole(L):
+        return certify_subloop(L, range(L.size))
+
+    assert is_cyclic_group(cyclic_group(1), whole(cyclic_group(1)))
+    assert is_cyclic_group(cyclic_group(6), whole(cyclic_group(6)))
+    assert not is_cyclic_group(symmetric_group(3), whole(symmetric_group(3)))
+    klein = direct_product(cyclic_group(2), cyclic_group(2))
+    assert not is_cyclic_group(klein, whole(klein))
+    # a loop that is not a group is never a cyclic group
+    L = build_ln(5, 2)
+    assert not is_cyclic_group(L, whole(L))
