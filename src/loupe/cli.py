@@ -44,10 +44,10 @@ def loop_to_json(L: FiniteLoop) -> dict:
 
 
 def loop_from_json(doc: dict) -> FiniteLoop:
-    table = doc["table"]
-    if len(table) != doc.get("size", len(table)):
+    L = validate_loop(doc["table"], doc.get("labels"))
+    if L.size != doc.get("size", L.size):
         raise ValueError("size field disagrees with table")
-    return validate_loop(table, doc.get("labels"))
+    return L
 
 
 def load_loop(path: str) -> FiniteLoop:

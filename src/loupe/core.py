@@ -2,14 +2,18 @@
 
 A loop is a set with a binary product, a two-sided identity and unique left
 and right division; associativity is not assumed.  Elements are plain ints
-indexing into the table, with the identity pinned at index 0.  All values in
-this module are immutable after construction and every operation is a pure
-function, so concurrent use over shared loops is safe.
+indexing into the table, with the identity pinned at index 0.  Tables and
+labels are immutable after construction and every operation is a pure
+function of them.  A ``FiniteLoop`` also memoises the derived data that
+many kernels share: its cyclic closures (``cyclic_closures``) and its subloop
+census (``substructures.all_subloops``).  Each memo write stores the one value
+its key can have, so concurrent use over shared loops is safe: at worst two
+callers compute the same entry twice.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import chain, combinations, permutations, product
 from math import lcm
@@ -39,6 +43,7 @@ class FiniteLoop:
     size: int
     table: tuple[tuple[int, ...], ...]
     labels: tuple[str, ...]
+    _memo: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def mul(self, x: int, y: int) -> int:
         return self.table[x][y]
@@ -117,9 +122,13 @@ def validate_loop(table, labels=None) -> FiniteLoop:
 
     Raises ``LatinRowViolation`` / ``LatinColumnViolation`` on the first
     duplicated value and ``NoIdentity`` when no two-sided identity exists.
-    Entries must be ints: floats and bools raise ``ValueError``.
+    A table that is not a sequence of rows, a non-int entry (floats and bools
+    included) and repeated labels raise ``ValueError``.
     """
-    rows = tuple(map(tuple, table))
+    try:
+        rows = tuple(map(tuple, table))
+    except TypeError:
+        raise ValueError("table must be a sequence of rows") from None
     if not set(map(type, chain.from_iterable(rows))) <= {int}:
         i, v = next((i, v) for i, row in enumerate(rows) for v in row if type(v) is not int)
         raise ValueError(f"entry {v!r} in row {i} is not an integer")
@@ -156,6 +165,8 @@ def validate_loop(table, labels=None) -> FiniteLoop:
         labs = tuple(str(s) for s in labels)
         if len(labs) != size:
             raise ValueError("labels length must match table size")
+        if len(set(labs)) != size:
+            raise ValueError("labels must be distinct")
     if identity != 0:
         # relabel by swapping index 0 with the identity's position
         perm = list(range(size))
@@ -451,36 +462,30 @@ def find_isomorphism(L1: FiniteLoop, L2: FiniteLoop) -> IsoWitness | None:
     return None
 
 
+def cyclic_closures(L: FiniteLoop) -> tuple[tuple[SubLoop, bool], ...]:
+    """``(<x>, is_subgroup(<x>))`` for every element x, computed once per loop."""
+    closures = L._memo.get("cyclic")
+    if closures is None:
+        gens = [generated_subloop(L, (x,)) for x in range(L.size)]
+        distinct = {S.elements: S for S in gens}
+        group = {key: is_subgroup(L, S) for key, S in distinct.items()}
+        closures = L._memo["cyclic"] = tuple((S, group[S.elements]) for S in gens)
+    return closures
+
+
 def element_order(L: FiniteLoop, x: int) -> int | None:
     """Order of x when <x> is a cyclic group; None when powers are ambiguous."""
-    gen = generated_subloop(L, (x,))
-    sub = subloop_as_loop(L, gen)
-    if not is_subgroup(L, gen):
-        return None
-    pos = gen.elements.index(x)
-    k, cur = 1, pos
-    while cur != 0:
-        cur = sub.table[cur][pos]
-        k += 1
-    return k
+    gen, is_group = cyclic_closures(L)[x]
+    return gen.order if is_group else None
 
 
 def is_cyclic_group(L: FiniteLoop, S: SubLoop) -> bool:
-    """True iff S is a group generated by one of its elements."""
-    if not is_subgroup(L, S):
-        return False
-    sub = subloop_as_loop(L, S)
-    if sub.size == 1:
-        return True
-    for g in range(1, sub.size):
-        seen = {0}
-        cur = g
-        while cur != 0:
-            seen.add(cur)
-            cur = sub.table[cur][g]
-        if len(seen) == sub.size:
-            return True
-    return False
+    """True iff S is a group generated by one of its elements.
+
+    For x in a closed S, <x> lies in S, so <x> = S exactly when the orders agree.
+    """
+    closures = cyclic_closures(L)
+    return any(closures[x][1] and closures[x][0].order == S.order for x in S.elements)
 
 
 def factorize(n: int) -> list[tuple[int, int]]:

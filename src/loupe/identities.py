@@ -18,6 +18,7 @@ from .core import (
     FiniteLoop,
     associator,
     compose,
+    cyclic_closures,
     generated_subloop,
     is_commutative_subset,
     is_cyclic_group,
@@ -218,10 +219,9 @@ def check_strict(L: FiniteLoop, form: StrictForm) -> Verdict:
 
 
 def is_power_associative(L: FiniteLoop) -> Verdict:
-    """Every element generates an associative commutative subloop (a cyclic group)."""
-    for x in range(L.size):
-        gen = generated_subloop(L, (x,))
-        if not is_subgroup(L, gen) or not is_commutative_subset(L, gen.elements):
+    """Every element generates an associative subloop (necessarily a cyclic group)."""
+    for x, (_, is_group) in enumerate(cyclic_closures(L)):
+        if not is_group:
             return Verdict(False, (x,))
     return Verdict(True)
 

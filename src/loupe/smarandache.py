@@ -19,6 +19,7 @@ from .core import (
     FiniteLoop,
     SubLoop,
     commutator,
+    cyclic_closures,
     element_order,
     factorize,
     generated_subloop,
@@ -47,7 +48,6 @@ from .identities import (
 )
 from .substructures import (
     NucleusPosition,
-    SubloopCensus,
     _associators,
     _centre,
     _moufang_centre,
@@ -65,13 +65,8 @@ def contains_proper_subgroup(L: FiniteLoop, A: SubLoop) -> bool:
     Any such subgroup contains a cyclic one of size >= 2, so scanning the
     closures of single elements of A decides the question.
     """
-    for x in A.elements:
-        if x == 0:
-            continue
-        gen = generated_subloop(L, (x,))
-        if 2 <= gen.order < A.order and is_subgroup(L, gen):
-            return True
-    return False
+    closures = cyclic_closures(L)
+    return any(closures[x][1] and 2 <= closures[x][0].order < A.order for x in A.elements)
 
 
 def is_s_subloop(L: FiniteLoop, A: SubLoop) -> bool:
@@ -80,9 +75,8 @@ def is_s_subloop(L: FiniteLoop, A: SubLoop) -> bool:
         return False
     if is_subgroup(L, A):
         return False
-    return any(
-        is_subgroup(L, generated_subloop(L, (x,))) for x in A.elements if x != 0
-    )
+    closures = cyclic_closures(L)
+    return any(closures[x][1] for x in A.elements if x != 0)
 
 
 def is_s_loop(L: FiniteLoop) -> Verdict:
@@ -91,17 +85,10 @@ def is_s_loop(L: FiniteLoop) -> Verdict:
     Scans cyclic closures only: any subgroup of size >= 2 contains a cyclic
     subgroup of size >= 2, so the smallest witness is found this way.
     """
-    best: SubLoop | None = None
-    for x in range(1, L.size):
-        gen = generated_subloop(L, (x,))
-        if gen.order >= L.size or gen.order < 2:
-            continue
-        if is_subgroup(L, gen):
-            if best is None or (gen.order, gen.elements) < (best.order, best.elements):
-                best = gen
-    if best is None:
+    groups = [S for S, is_group in cyclic_closures(L) if is_group and 2 <= S.order < L.size]
+    if not groups:
         return Verdict(False)
-    return Verdict(True, best.elements)
+    return Verdict(True, min(groups, key=lambda S: (S.order, S.elements)).elements)
 
 
 def is_normal_subgroup(L: FiniteLoop, A: SubLoop) -> bool:
@@ -117,16 +104,14 @@ class SSubstructures:
     s_subgroup_loop: bool
 
 
-def s_substructures(
-    L: FiniteLoop, caps: Caps = DEFAULT_CAPS, census: SubloopCensus | None = None
-) -> SSubstructures:
+def s_substructures(L: FiniteLoop, caps: Caps = DEFAULT_CAPS) -> SSubstructures:
     """S-subloops and S-normal subloops from the census.
 
     An S-normal subloop is a nontrivial proper normal subloop containing a
     subgroup of size >= 2; S-simple means none exists.  A subgroup loop is an
     S-loop whose proper nontrivial subloops are all groups.
     """
-    census = census or all_subloops(L, caps)
+    census = all_subloops(L, caps)
     s_subs = tuple(S for S in census.subloops if is_s_subloop(L, S))
     s_normal = tuple(
         S
@@ -170,11 +155,8 @@ def is_s_cauchy_loop(L: FiniteLoop) -> Verdict:
     if not is_s_loop(L):
         return Verdict(False, None, "not an S-loop")
     for x in range(1, L.size):
-        gen = generated_subloop(L, (x,))
-        if gen.order >= L.size or not is_subgroup(L, gen):
-            continue
         k = element_order(L, x)
-        if k is None or L.size % k != 0:
+        if k is not None and L.size % k != 0:
             return Verdict(False, (x, k))
     return Verdict(True)
 
@@ -219,7 +201,7 @@ class SReport:
 def s_classical_report(L: FiniteLoop, caps: Caps = DEFAULT_CAPS) -> SReport:
     """Compute every classical-style Smarandache flag by exhaustive scan."""
     census = all_subloops(L, caps)
-    structures = s_substructures(L, caps, census)
+    structures = s_substructures(L, caps)
     sl = is_s_loop(L)
     subgroups = [
         S for S in census.subgroups() if S.order >= 2 and S.is_proper()
@@ -306,7 +288,7 @@ def s_p_sylow(L: FiniteLoop, p: int, caps: Caps = DEFAULT_CAPS) -> SylowReport:
     if L.size % p != 0:
         raise NotPrime(f"{p} does not divide the loop order {L.size}")
     census = all_subloops(L, caps)
-    structures = s_substructures(L, caps, census)
+    structures = s_substructures(L, caps)
     order_p = tuple(S for S in structures.s_subloops if S.order == p)
     pairs = []
     subgroups = [S for S in census.subgroups() if S.order == p]

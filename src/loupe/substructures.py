@@ -19,6 +19,7 @@ from .core import (
     associator,
     certify_subloop,
     commutator,
+    cyclic_closures,
     generated_subloop,
     is_associative,
     is_commutative_subset,
@@ -52,38 +53,45 @@ def _canonical(subs) -> list[SubLoop]:
 
 
 def all_subloops(L: FiniteLoop, caps: Caps = DEFAULT_CAPS) -> SubloopCensus:
-    """Fixpoint enumeration of all subloops of L."""
+    """Fixpoint enumeration of all subloops of L, memoised on L.
+
+    The caps apply on every call, memoised or not.
+    """
     if L.size > caps.census_order:
         raise CapExceeded("census order", L.size, caps.census_order)
-    found: dict[frozenset[int], SubLoop] = {}
-    stack: list[SubLoop] = []
-    for x in range(L.size):
-        S = generated_subloop(L, (x,))
-        key = S.as_set()
-        if key not in found:
-            found[key] = S
-            stack.append(S)
-    while stack:
-        S = stack.pop()
-        if not S.is_proper():
-            continue
-        inside = S.as_set()
-        for g in range(L.size):
-            if g in inside:
-                continue
-            T = generated_subloop(L, S.elements + (g,))
-            key = T.as_set()
+    census = L._memo.get("census")
+    if census is None:
+        found: dict[frozenset[int], SubLoop] = {}
+        stack: list[SubLoop] = []
+        for S, _ in cyclic_closures(L):
+            key = S.as_set()
             if key not in found:
-                if len(found) >= caps.census:
-                    raise CapExceeded("census size", len(found) + 1, caps.census)
-                found[key] = T
-                stack.append(T)
-    subs = _canonical(found.values())
-    return SubloopCensus(
-        subloops=tuple(subs),
-        subgroup_flags=tuple(is_subgroup(L, s) for s in subs),
-        normal_flags=tuple(normality_witness(L, s) is None for s in subs),
-    )
+                found[key] = S
+                stack.append(S)
+        while stack:
+            S = stack.pop()
+            if not S.is_proper():
+                continue
+            inside = S.as_set()
+            for g in range(L.size):
+                if g in inside:
+                    continue
+                T = generated_subloop(L, S.elements + (g,))
+                key = T.as_set()
+                if key not in found:
+                    if len(found) >= caps.census:
+                        raise CapExceeded("census size", caps.census + 1, caps.census)
+                    found[key] = T
+                    stack.append(T)
+        subs = _canonical(found.values())
+        census = L._memo["census"] = SubloopCensus(
+            subloops=tuple(subs),
+            subgroup_flags=tuple(is_subgroup(L, s) for s in subs),
+            normal_flags=tuple(normality_witness(L, s) is None for s in subs),
+        )
+    if len(census.subloops) > caps.census:
+        raise CapExceeded("census size", caps.census + 1, caps.census)
+    return census
 
 
 def is_normal_subloop(L: FiniteLoop, H: SubLoop):

@@ -202,6 +202,25 @@ def test_report_rejects_float_table(capsys, tmp_path):
     assert "0.5" in err
 
 
+@pytest.mark.parametrize("table", ["5", "[5]", "null"])
+def test_report_rejects_table_that_is_not_rows(capsys, tmp_path, table):
+    path = tmp_path / "shape.json"
+    path.write_text('{"table": %s}' % table)
+    code, out, err = run(capsys, "report", "--loop", str(path))
+    assert code == 2
+    assert out == ""
+    assert "sequence of rows" in err
+
+
+def test_coset_rejects_duplicate_labels(capsys, tmp_path):
+    path = tmp_path / "dup.json"
+    path.write_text('{"labels": ["a", "a"], "table": [[0, 1], [1, 0]]}')
+    code, out, err = run(capsys, "coset", "--loop", str(path), "--subgroup", "a")
+    assert code == 2
+    assert out == ""
+    assert "distinct" in err
+
+
 def test_report_rejects_bool_table(capsys, tmp_path):
     path = tmp_path / "bool.json"
     path.write_text('{"table": [[false, true], [true, false]]}')
