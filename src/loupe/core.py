@@ -5,14 +5,18 @@ and right division; associativity is not assumed.  Elements are plain ints
 indexing into the table, with the identity pinned at index 0.  Tables and
 labels are immutable after construction and every operation is a pure
 function of them.  A ``FiniteLoop`` also memoises the derived data that
-many kernels share: its cyclic closures (``cyclic_closures``) and its subloop
-census (``substructures.all_subloops``).  Each memo write stores the one value
-its key can have, so concurrent use over shared loops is safe: at worst two
+many kernels share: its cyclic closures (``cyclic_closures``), its subloop
+census (``substructures.all_subloops``), the associativity verdict of each
+subset ``is_subgroup`` has decided (keyed by its element tuple, so each
+distinct subloop is checked once per loop) and the per-element signatures
+``find_isomorphism`` prunes with.  Each memo write stores the one value its
+key can have, so concurrent use over shared loops is safe: at worst two
 callers compute the same entry twice.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import chain, combinations, permutations, product
@@ -123,7 +127,8 @@ def validate_loop(table, labels=None) -> FiniteLoop:
     Raises ``LatinRowViolation`` / ``LatinColumnViolation`` on the first
     duplicated value and ``NoIdentity`` when no two-sided identity exists.
     A table that is not a sequence of rows, a non-int entry (floats and bools
-    included) and repeated labels raise ``ValueError``.
+    included), labels that are not a sequence (a string included) and
+    repeated labels raise ``ValueError``.
     """
     try:
         rows = tuple(map(tuple, table))
@@ -162,6 +167,8 @@ def validate_loop(table, labels=None) -> FiniteLoop:
     if labels is None:
         labs = default_labels(size)
     else:
+        if isinstance(labels, str) or not isinstance(labels, Sequence):
+            raise ValueError("labels must be a sequence of names")
         labs = tuple(str(s) for s in labels)
         if len(labs) != size:
             raise ValueError("labels length must match table size")
@@ -220,15 +227,24 @@ def generated_subloop(L: FiniteLoop, seed) -> SubLoop:
     contains e and is division-closed.  A closed subset on more than half
     the elements must already be the whole loop, which bounds the fixpoint.
     """
-    size = L.size
-    table = L.table
     elems = set(seed)
     elems.add(0)
     for x in elems:
-        if not 0 <= x < size:
+        if not 0 <= x < L.size:
             raise BadIndex(f"seed element {x} out of range")
+    return _close(L, elems, sorted(elems))
+
+
+def _close(L: FiniteLoop, elems: set, queue: list) -> SubLoop:
+    """Close ``elems`` (updated in place) under the product.
+
+    Products of two elements of ``elems`` that are both off ``queue`` must
+    already lie in ``elems``: seeding with a closed subloop S and queueing
+    only g closes <S, g> without re-multiplying S by itself.
+    """
+    size = L.size
+    table = L.table
     half = size // 2
-    queue = sorted(elems)
     while queue:
         x = queue.pop()
         snapshot = list(elems)
@@ -267,9 +283,15 @@ def subloop_as_loop(L: FiniteLoop, S: SubLoop) -> FiniteLoop:
 
 
 def is_subgroup(L: FiniteLoop, S: SubLoop) -> bool:
-    """True iff the product restricted to S is associative."""
-    elems = S.elements
-    t = L.table
+    """True iff the product restricted to S is associative; memoised on L by element tuple."""
+    flags = L._memo.setdefault("subgroup", {})
+    flag = flags.get(S.elements)
+    if flag is None:
+        flag = flags[S.elements] = _is_associative_on(L.table, S.elements)
+    return flag
+
+
+def _is_associative_on(t, elems) -> bool:
     for x in elems:
         for y in elems:
             xy = t[x][y]
@@ -402,10 +424,20 @@ def symmetric_group(k: int) -> FiniteLoop:
     return FiniteLoop(size=len(perms), table=table, labels=labels)
 
 
-def _element_signature(L: FiniteLoop, x: int) -> tuple:
-    gen = generated_subloop(L, (x,))
-    comm = sum(1 for y in range(L.size) if L.table[x][y] == L.table[y][x])
-    return (len(gen.elements), L.table[x][x] == 0, comm)
+def _element_signatures(L: FiniteLoop) -> list[tuple]:
+    """Isomorphism invariants of each element (|<x>|, x*x == e, centraliser size), memoised on L."""
+    sigs = L._memo.get("signatures")
+    if sigs is None:
+        t = L.table
+        sigs = L._memo["signatures"] = [
+            (
+                len(generated_subloop(L, (x,)).elements),
+                t[x][x] == 0,
+                sum(1 for y in range(L.size) if t[x][y] == t[y][x]),
+            )
+            for x in range(L.size)
+        ]
+    return sigs
 
 
 def find_isomorphism(L1: FiniteLoop, L2: FiniteLoop) -> IsoWitness | None:
@@ -417,8 +449,8 @@ def find_isomorphism(L1: FiniteLoop, L2: FiniteLoop) -> IsoWitness | None:
     if L1.size != L2.size:
         return None
     size = L1.size
-    sig1 = [_element_signature(L1, x) for x in range(size)]
-    sig2 = [_element_signature(L2, x) for x in range(size)]
+    sig1 = _element_signatures(L1)
+    sig2 = _element_signatures(L2)
     if sorted(sig1) != sorted(sig2):
         return None
     t1, t2 = L1.table, L2.table
@@ -466,10 +498,9 @@ def cyclic_closures(L: FiniteLoop) -> tuple[tuple[SubLoop, bool], ...]:
     """``(<x>, is_subgroup(<x>))`` for every element x, computed once per loop."""
     closures = L._memo.get("cyclic")
     if closures is None:
-        gens = [generated_subloop(L, (x,)) for x in range(L.size)]
-        distinct = {S.elements: S for S in gens}
-        group = {key: is_subgroup(L, S) for key, S in distinct.items()}
-        closures = L._memo["cyclic"] = tuple((S, group[S.elements]) for S in gens)
+        closures = L._memo["cyclic"] = tuple(
+            (S, is_subgroup(L, S)) for S in (generated_subloop(L, (x,)) for x in range(L.size))
+        )
     return closures
 
 

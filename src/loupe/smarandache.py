@@ -122,7 +122,9 @@ def s_substructures(L: FiniteLoop, caps: Caps = DEFAULT_CAPS) -> SSubstructures:
         and contains_proper_subgroup(L, S)
     )
     subgroup_loop = bool(is_s_loop(L)) and all(
-        is_subgroup(L, S) for S in census.proper_nontrivial()
+        group
+        for S, group in zip(census.subloops, census.subgroup_flags)
+        if S.is_proper() and not S.is_trivial()
     )
     return SSubstructures(
         s_subloops=s_subs,

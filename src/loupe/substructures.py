@@ -3,7 +3,8 @@
 The census enumerates every subloop by closing single elements and then
 extending each found subloop by each outside element until a fixpoint: any
 subloop strictly containing a found one contains a one-element extension of
-it, so the process is complete.
+it, so the process is complete.  An extension <S, g> is closed from S with
+only g queued, and is formed for one g per right translate gS.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from .config import DEFAULT_CAPS, Caps
 from .core import (
     FiniteLoop,
     SubLoop,
+    _close,
     associator,
     certify_subloop,
     commutator,
@@ -72,11 +74,14 @@ def all_subloops(L: FiniteLoop, caps: Caps = DEFAULT_CAPS) -> SubloopCensus:
             S = stack.pop()
             if not S.is_proper():
                 continue
-            inside = S.as_set()
+            # <S, g*s> = <S, g> for s in S (g = (g*s)/s), so one g per right translate
+            covered = set(S.elements)
             for g in range(L.size):
-                if g in inside:
+                if g in covered:
                     continue
-                T = generated_subloop(L, S.elements + (g,))
+                row = L.table[g]
+                covered.update(row[s] for s in S.elements)
+                T = _close(L, {*S.elements, g}, [g])
                 key = T.as_set()
                 if key not in found:
                     if len(found) >= caps.census:

@@ -1,7 +1,8 @@
 """Brute-force reference implementations the library's fast paths are checked against.
 
-Each oracle recomputes from the table alone, with no memoised data: cyclic
-closures are closed afresh and element orders are found by walking powers.
+Each oracle recomputes from the table alone, with no memoised data: closures
+are formed afresh, associativity is a triple scan, element orders are found
+by walking powers and isomorphisms are searched without invariant pruning.
 """
 
 from __future__ import annotations
@@ -10,18 +11,96 @@ from loupe.core import (
     FiniteLoop,
     SubLoop,
     generated_subloop,
-    is_subgroup,
+    normality_witness,
     subloop_as_loop,
     validate_loop,
 )
 from loupe.identities import Verdict
+from loupe.isotopes import principal_isotope
+from loupe.substructures import SubloopCensus
+
+
+def is_associative_by_triples(L: FiniteLoop, elems) -> bool:
+    """(xy)z = x(yz) for every triple drawn from ``elems``."""
+    t = L.table
+    return all(t[t[x][y]][z] == t[x][t[y][z]] for x in elems for y in elems for z in elems)
+
+
+def census_by_extension(L: FiniteLoop) -> SubloopCensus:
+    """Every subloop with its flags: close each element, then extend each found
+    subloop by every outside element, closing each extension from scratch."""
+    found: dict[tuple[int, ...], SubLoop] = {}
+    stack = []
+    for x in range(L.size):
+        S = generated_subloop(L, (x,))
+        if S.elements not in found:
+            found[S.elements] = S
+            stack.append(S)
+    while stack:
+        S = stack.pop()
+        for g in range(L.size):
+            if g not in S.elements:
+                T = generated_subloop(L, S.elements + (g,))
+                if T.elements not in found:
+                    found[T.elements] = T
+                    stack.append(T)
+    subs = sorted(found.values(), key=lambda s: (s.order, s.elements))
+    return SubloopCensus(
+        subloops=tuple(subs),
+        subgroup_flags=tuple(is_associative_by_triples(L, s.elements) for s in subs),
+        normal_flags=tuple(normality_witness(L, s) is None for s in subs),
+    )
+
+
+def is_diassociative_by_pairs(L: FiniteLoop) -> Verdict:
+    """First pair x <= y whose closure is not associative."""
+    for x in range(L.size):
+        for y in range(x, L.size):
+            if not is_associative_by_triples(L, generated_subloop(L, (x, y)).elements):
+                return Verdict(False, (x, y))
+    return Verdict(True)
+
+
+def is_isomorphic_by_search(L1: FiniteLoop, L2: FiniteLoop) -> bool:
+    """Backtracking over identity-preserving bijections, with no invariant pruning."""
+    n = L1.size
+    if n != L2.size:
+        return False
+    t1, t2 = L1.table, L2.table
+
+    def extend(mapping: list[int]) -> bool:
+        k = len(mapping)
+        if k == n:
+            return True
+        for u in range(n):
+            if u in mapping:
+                continue
+            m = mapping + [u]
+            if all(
+                t1[a][b] > k or m[t1[a][b]] == t2[m[a]][m[b]]
+                for a in range(k + 1)
+                for b in range(k + 1)
+            ) and extend(m):
+                return True
+        return False
+
+    return extend([0])
+
+
+def is_g_loop_by_isotopes(L: FiniteLoop) -> Verdict:
+    """First principal isotope (a, b) not isomorphic to L."""
+    for a in range(L.size):
+        for b in range(L.size):
+            if not is_isomorphic_by_search(L, principal_isotope(L, a, b)):
+                return Verdict(False, (a, b))
+    return Verdict(True)
 
 
 def element_order_by_powers(L: FiniteLoop, x: int) -> int | None:
     """Order of x by walking its right powers inside <x>; None when <x> is no group."""
     gen = generated_subloop(L, (x,))
     sub = subloop_as_loop(L, gen)
-    if not is_subgroup(L, gen):
+    if not is_associative_by_triples(L, gen.elements):
         return None
     pos = gen.elements.index(x)
     k, cur = 1, pos
@@ -33,7 +112,7 @@ def element_order_by_powers(L: FiniteLoop, x: int) -> int | None:
 
 def is_cyclic_group_by_powers(L: FiniteLoop, S: SubLoop) -> bool:
     """True iff S is a group and the powers of one of its elements fill it."""
-    if not is_subgroup(L, S):
+    if not is_associative_by_triples(L, S.elements):
         return False
     sub = subloop_as_loop(L, S)
     if sub.size == 1:
@@ -56,7 +135,7 @@ def is_s_loop_by_closures(L: FiniteLoop) -> Verdict:
         gen = generated_subloop(L, (x,))
         if gen.order >= L.size or gen.order < 2:
             continue
-        if is_subgroup(L, gen):
+        if is_associative_by_triples(L, gen.elements):
             if best is None or (gen.order, gen.elements) < (best.order, best.elements):
                 best = gen
     if best is None:

@@ -212,6 +212,16 @@ def test_report_rejects_table_that_is_not_rows(capsys, tmp_path, table):
     assert "sequence of rows" in err
 
 
+@pytest.mark.parametrize("labels", ["5", "true", '"ab"', '{"e": 0, "a": 1}'])
+def test_report_rejects_labels_that_are_not_a_sequence(capsys, tmp_path, labels):
+    path = tmp_path / "labels.json"
+    path.write_text('{"labels": %s, "table": [[0, 1], [1, 0]]}' % labels)
+    code, out, err = run(capsys, "report", "--loop", str(path))
+    assert code == 2
+    assert out == ""
+    assert "labels must be a sequence" in err
+
+
 def test_coset_rejects_duplicate_labels(capsys, tmp_path):
     path = tmp_path / "dup.json"
     path.write_text('{"labels": ["a", "a"], "table": [[0, 1], [1, 0]]}')

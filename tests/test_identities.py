@@ -2,7 +2,7 @@
 
 import pytest
 
-from loupe import build_ln, cyclic_group, symmetric_group
+from loupe import build_ln, cyclic_group, direct_product, symmetric_group
 from loupe.errors import NotIPLoop
 from loupe.identities import (
     Law,
@@ -104,6 +104,14 @@ def test_power_associativity(noncomm5):
     assert is_power_associative(cyclic_group(6)).holds
     assert is_diassociative(symmetric_group(3)).holds
     assert not is_power_associative(noncomm5).holds
+
+
+def test_diassociativity_decides_each_distinct_subloop_once():
+    # S_5 has 7,260 pairs but 156 distinct 2-generated subloops
+    assert is_diassociative(symmetric_group(5)).holds
+    G = direct_product(symmetric_group(4), cyclic_group(2))
+    assert is_diassociative(G).holds
+    assert len(G._memo["subgroup"]) == 91
 
 
 def test_power_associative_orders_unambiguous(corpus):

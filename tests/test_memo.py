@@ -1,4 +1,5 @@
-"""The per-loop memo: census and cyclic closures against fresh, brute-force answers."""
+"""The per-loop memo: census, cyclic closures, subgroup flags and isomorphism
+signatures against fresh, brute-force answers."""
 
 import dataclasses
 import random
@@ -6,14 +7,19 @@ import random
 import pytest
 
 from loupe import Caps, build_ln
-from loupe.core import element_order, is_cyclic_group
+from loupe.core import element_order, find_isomorphism, is_cyclic_group
 from loupe.errors import CapExceeded
+from loupe.identities import is_diassociative
+from loupe.isotopes import is_g_loop
 from loupe.smarandache import is_s_loop
 from loupe.substructures import all_subloops
 
 from oracles import (
+    census_by_extension,
     element_order_by_powers,
     is_cyclic_group_by_powers,
+    is_diassociative_by_pairs,
+    is_g_loop_by_isotopes,
     is_s_loop_by_closures,
     random_loop,
 )
@@ -45,8 +51,10 @@ def test_memoised_census_honours_tighter_caps(corpus, name):
 def test_memo_is_ignored_by_equality_hashing_and_replace():
     warm = build_ln(9, 5)
     all_subloops(warm)
+    find_isomorphism(warm, warm)
     cold = dataclasses.replace(warm)
-    assert warm._memo and not cold._memo
+    assert set(warm._memo) == {"census", "cyclic", "subgroup", "signatures"}
+    assert not cold._memo
     assert warm == cold
     assert hash(warm) == hash(cold)
     assert repr(warm) == repr(cold)
@@ -55,6 +63,7 @@ def test_memo_is_ignored_by_equality_hashing_and_replace():
 def _differential_loops(corpus):
     rng = random.Random(20031)
     randoms = [(f"random{i}", random_loop(rng, 4 + i % 5)) for i in range(60)]
+    randoms += [(f"random{i}", random_loop(rng, 9)) for i in range(60, 72)]
     return list(corpus.items()) + randoms
 
 
@@ -67,3 +76,33 @@ def test_cyclic_kernels_agree_with_power_walk_oracles(corpus):
             assert is_s_loop(L) == is_s_loop_by_closures(L), name
             for S in all_subloops(L).subloops:
                 assert is_cyclic_group(L, S) == is_cyclic_group_by_powers(L, S), (name, S)
+
+
+def test_census_agrees_with_unpruned_extension_oracle(corpus):
+    for name, L in _differential_loops(corpus):
+        expected = census_by_extension(L)
+        count = len(expected.subloops)
+        fresh = dataclasses.replace(L)
+        for _ in range(2):  # the second round reads the memo
+            assert all_subloops(fresh) == expected, name
+        for cap in sorted({1, 2, 3, 5, count - 1, count} - {0}):
+            want = (
+                (CapExceeded, f"census size exceeded cap ({cap + 1} > {cap})")
+                if count > cap
+                else [S.elements for S in expected.subloops]
+            )
+            caps = Caps(census=cap)
+            assert _census_outcome(dataclasses.replace(L), caps) == want, (name, cap)
+            assert _census_outcome(fresh, caps) == want, (name, cap)
+
+
+def test_diassociativity_and_g_loop_agree_with_oracles(corpus):
+    for name, L in _differential_loops(corpus):
+        fresh = dataclasses.replace(L)
+        expected = is_diassociative_by_pairs(L)
+        for _ in range(2):  # the second round reads the memo
+            assert is_diassociative(fresh) == expected, name
+        if L.size <= 8:
+            expected = is_g_loop_by_isotopes(L)
+            for _ in range(2):
+                assert is_g_loop(fresh) == expected, name
