@@ -8,8 +8,10 @@ function of them.  A ``FiniteLoop`` also memoises the derived data that
 many kernels share: its cyclic closures (``cyclic_closures``), its subloop
 census (``substructures.all_subloops``), the associativity verdict of each
 subset ``is_subgroup`` has decided (keyed by its element tuple, so each
-distinct subloop is checked once per loop) and the per-element signatures
-``find_isomorphism`` prunes with.  Each memo write stores the one value its
+distinct subloop is checked once per loop), the per-element signatures
+``find_isomorphism`` prunes with and, under ``"inn"``, the order of the
+multiplication group with the sorted inner mapping group
+(``identities.inner_mapping_group``).  Each memo write stores the one value its
 key can have, so concurrent use over shared loops is safe: at worst two
 callers compute the same entry twice.
 """
@@ -315,9 +317,12 @@ def normality_witness(L: FiniteLoop, H: SubLoop) -> tuple[int, int, int | None] 
     """First violated normality condition for H, or None when H is normal.
 
     Conditions, in order: (1) xH = Hx, (2) (Hx)y = H(xy), (3) y(xH) = (yx)H.
+    The trivial subloop and L itself are normal without a scan.
     """
     t = L.table
     hs = H.elements
+    if len(hs) in (1, L.size):
+        return None
     for x in range(L.size):
         if {t[x][h] for h in hs} != {t[h][x] for h in hs}:
             return (1, x, None)

@@ -11,6 +11,8 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from itertools import chain, combinations
+from math import comb
+from operator import itemgetter
 
 from . import substructures
 from .config import DEFAULT_CAPS, Caps
@@ -377,56 +379,120 @@ def special_commutativity(
 def multiplication_group(L: FiniteLoop, cap: int = DEFAULT_CAPS.mlt) -> list[tuple[int, ...]]:
     """Closure of all left/right translations under composition, sorted.
 
-    Raises CapExceeded before returning anything partial.
+    Raises ``CapExceeded`` (reporting ``cap + 1`` permutations) as soon as the
+    group is known to exceed ``cap``, before returning anything partial.
     """
-    size = L.size
-    gens = []
-    for x in range(size):
-        gens.append(tuple(L.table[x]))
-        gens.append(tuple(L.table[y][x] for y in range(size)))
-    seen = set(gens)
-    seen.add(tuple(range(size)))
-    frontier = sorted(seen)
-    while frontier:
+    identity = tuple(range(L.size))
+    gens = (set(map(tuple, L.table)) | set(zip(*L.table))) - {identity}
+    # itemgetter(*g)(p) is compose(p, g) run at C level; a loop of order 1 has
+    # no generator, so no getter is built on a single index (which would
+    # return a scalar, not a tuple)
+    getters = [itemgetter(*g) for g in gens]
+    seen = gens | {identity}
+    frontier = list(seen)
+    while frontier and len(seen) <= cap:
         fresh = []
         for p in frontier:
-            for g in gens:
-                q = compose(p, g)
+            for get in getters:
+                q = get(p)
                 if q not in seen:
                     seen.add(q)
                     fresh.append(q)
-                    if len(seen) > cap:
-                        raise CapExceeded("multiplication group", len(seen), cap)
-        frontier = sorted(fresh)
+            if len(seen) > cap:
+                break
+        frontier = fresh
+    if len(seen) > cap:
+        raise CapExceeded("multiplication group", cap + 1, cap)
     return sorted(seen)
 
 
 def inner_mapping_group(L: FiniteLoop, cap: int = DEFAULT_CAPS.mlt) -> list[tuple[int, ...]]:
-    """Members of the multiplication group fixing the identity."""
-    return [p for p in multiplication_group(L, cap) if p[0] == 0]
+    """Members of the multiplication group fixing the identity, sorted.
+
+    Memoised on L as ``(|Mlt|, Inn)``, so Mlt is closed at most once per loop;
+    a memo hit checks ``cap`` against the stored |Mlt| and raises exactly what
+    a fresh closure would.
+    """
+    memo = L._memo.get("inn")
+    if memo is None:
+        mlt = multiplication_group(L, cap)
+        memo = L._memo["inn"] = (len(mlt), tuple(p for p in mlt if p[0] == 0))
+    mlt_order, inn = memo
+    if mlt_order > cap:
+        raise CapExceeded("multiplication group", cap + 1, cap)
+    return list(inn)
+
+
+def _bruck_generators(L: FiniteLoop) -> set[tuple[int, ...]]:
+    """Bruck's generators of Inn(L), as permutations z -> zT(x), zR(x,y), zL(x,y).
+
+    T(x) = R_x L_x^-1, R(x,y) = R_x R_y R_xy^-1 and L(x,y) = L_x L_y L_yx^-1
+    (Bruck, A Survey of Binary Systems, 1958): at most 2n^2 + n of them.
+    """
+    t = L.table
+    n = L.size
+    ldiv = [[0] * n for _ in range(n)]  # ldiv[a][b]: the x with ax = b
+    rdiv = [[0] * n for _ in range(n)]  # rdiv[a][b]: the y with ya = b
+    for a in range(n):
+        for x in range(n):
+            ldiv[a][t[a][x]] = x
+            rdiv[x][t[a][x]] = a
+    gens = {tuple(ldiv[x][t[z][x]] for z in range(n)) for x in range(n)}
+    for x in range(n):
+        for y in range(n):
+            xy, yx = t[x][y], t[y][x]
+            gens.add(tuple(rdiv[xy][t[t[z][x]][y]] for z in range(n)))
+            gens.add(tuple(ldiv[yx][t[y][t[x][z]]] for z in range(n)))
+    return gens
+
+
+def _automorphism_failure(t, theta: tuple[int, ...]) -> tuple[int, int] | None:
+    """First (x, y) in lexicographic order with theta(xy) != theta(x)theta(y)."""
+    for x, row in enumerate(t):
+        image = t[theta[x]]
+        for y, xy in enumerate(row):
+            if theta[xy] != image[theta[y]]:
+                return (x, y)
+    return None
 
 
 def is_a_loop(L: FiniteLoop, cap: int = DEFAULT_CAPS.mlt) -> Verdict:
-    """Every inner mapping is an automorphism of the loop."""
+    """Every inner mapping is an automorphism of the loop.
+
+    Aut(L) is a group, so the law holds once Bruck's generators of Inn(L) are
+    automorphisms, and ``cap`` never binds then.  Otherwise the witness is the
+    first failing inner mapping in sorted order, read from the Mlt closure.
+    """
     t = L.table
+    if all(_automorphism_failure(t, theta) is None for theta in _bruck_generators(L)):
+        return Verdict(True)
     for theta in inner_mapping_group(L, cap):
-        for x in range(L.size):
-            for y in range(L.size):
-                if theta[t[x][y]] != t[theta[x]][theta[y]]:
-                    return Verdict(False, (theta, x, y))
-    return Verdict(True)
+        failure = _automorphism_failure(t, theta)
+        if failure is not None:
+            return Verdict(False, (theta, *failure))
+    raise AssertionError("a generator of Inn is no automorphism, yet every inner mapping is")
 
 
 def is_arif(L: FiniteLoop, cap: int = DEFAULT_CAPS.mlt) -> Verdict:
-    """Inverse-property loop whose inner mappings commute with inversion."""
+    """Inverse-property loop whose inner mappings commute with inversion.
+
+    The centraliser of inversion is a group, so Bruck's generators of Inn(L)
+    decide it as in ``is_a_loop``; only a failure closes Mlt for its witness.
+    """
     ip = check_law(L, Law.IP)
     if not ip.holds:
         raise NotIPLoop(ip.witness)
     j = tuple(two_sided_inverse(L, x) for x in range(L.size))
+
+    def commutes(theta):
+        return compose(j, compose(theta, j)) == theta
+
+    if all(map(commutes, _bruck_generators(L))):
+        return Verdict(True)
     for theta in inner_mapping_group(L, cap):
-        if compose(j, compose(theta, j)) != theta:
+        if not commutes(theta):
             return Verdict(False, (theta,))
-    return Verdict(True)
+    raise AssertionError("a generator of Inn moves inversion, yet no inner mapping does")
 
 
 def _nonempty_subsets(size: int, max_size: int):
@@ -442,12 +508,11 @@ def up_tup_check(L: FiniteLoop, mode: str, max_subset_size: int = DEFAULT_CAPS.s
     """
     if mode not in ("up", "tup"):
         raise ValueError("mode must be 'up' or 'tup'")
-    subset_count = sum(
-        1 for _ in _nonempty_subsets(L.size, min(max_subset_size, L.size))
-    )
+    max_size = min(max_subset_size, L.size)
+    subset_count = sum(comb(L.size, r) for r in range(1, max_size + 1))
     if subset_count * subset_count > 4_000_000:
         raise SizeCapExceeded("subset pairs", subset_count * subset_count, 4_000_000)
-    subsets = list(_nonempty_subsets(L.size, min(max_subset_size, L.size)))
+    subsets = list(_nonempty_subsets(L.size, max_size))
     need = 1 if mode == "up" else 2
     for A in subsets:
         for B in subsets:

@@ -2,7 +2,9 @@
 
 Each oracle recomputes from the table alone, with no memoised data: closures
 are formed afresh, associativity is a triple scan, element orders are found
-by walking powers and isomorphisms are searched without invariant pruning.
+by walking powers, isomorphisms are searched without invariant pruning,
+multiplication groups are closed by composing in Python and inner-mapping
+laws are scanned over every inner mapping.
 """
 
 from __future__ import annotations
@@ -10,11 +12,14 @@ from __future__ import annotations
 from loupe.core import (
     FiniteLoop,
     SubLoop,
+    compose,
     generated_subloop,
     normality_witness,
     subloop_as_loop,
+    two_sided_inverse,
     validate_loop,
 )
+from loupe.errors import CapExceeded
 from loupe.identities import Verdict
 from loupe.isotopes import principal_isotope
 from loupe.substructures import SubloopCensus
@@ -141,6 +146,68 @@ def is_s_loop_by_closures(L: FiniteLoop) -> Verdict:
     if best is None:
         return Verdict(False)
     return Verdict(True, best.elements)
+
+
+def multiplication_group_by_closure(L: FiniteLoop, cap: int) -> list[tuple[int, ...]]:
+    """Breadth-first closure of every left and right translation, composing in Python."""
+    size = L.size
+    gens = []
+    for x in range(size):
+        gens.append(tuple(L.table[x]))
+        gens.append(tuple(L.table[y][x] for y in range(size)))
+    seen = set(gens)
+    seen.add(tuple(range(size)))
+    frontier = sorted(seen)
+    while frontier:
+        fresh = []
+        for p in frontier:
+            for g in gens:
+                q = compose(p, g)
+                if q not in seen:
+                    seen.add(q)
+                    fresh.append(q)
+                    if len(seen) > cap:
+                        raise CapExceeded("multiplication group", len(seen), cap)
+        frontier = sorted(fresh)
+    return sorted(seen)
+
+
+def is_a_loop_by_scan(L: FiniteLoop, inn) -> Verdict:
+    """First inner mapping in ``inn`` (in its order) and pair (x, y) it fails to preserve."""
+    t = L.table
+    for theta in inn:
+        for x in range(L.size):
+            for y in range(L.size):
+                if theta[t[x][y]] != t[theta[x]][theta[y]]:
+                    return Verdict(False, (theta, x, y))
+    return Verdict(True)
+
+
+def is_arif_by_scan(L: FiniteLoop, inn) -> Verdict:
+    """First inner mapping in ``inn`` that does not commute with inversion (L must be IP)."""
+    j = tuple(two_sided_inverse(L, x) for x in range(L.size))
+    for theta in inn:
+        if compose(j, compose(theta, j)) != theta:
+            return Verdict(False, (theta,))
+    return Verdict(True)
+
+
+def normality_witness_by_scan(L: FiniteLoop, H: SubLoop) -> tuple[int, int, int | None] | None:
+    """Every normality condition scanned over every x and pair (x, y), for any H."""
+    t = L.table
+    hs = H.elements
+    for x in range(L.size):
+        if {t[x][h] for h in hs} != {t[h][x] for h in hs}:
+            return (1, x, None)
+    for x in range(L.size):
+        for y in range(L.size):
+            if {t[t[h][x]][y] for h in hs} != {t[h][t[x][y]] for h in hs}:
+                return (2, x, y)
+    for x in range(L.size):
+        for y in range(L.size):
+            if {t[y][t[x][h]] for h in hs} != {t[t[y][x]][h] for h in hs}:
+                return (3, x, y)
+    return None
 
 
 def random_loop(rng, n: int) -> FiniteLoop:
