@@ -11,9 +11,12 @@ subset ``is_subgroup`` has decided (keyed by its element tuple, so each
 distinct subloop is checked once per loop), the per-element signatures
 ``find_isomorphism`` prunes with and, under ``"inn"``, the order of the
 multiplication group with the sorted inner mapping group
-(``identities.inner_mapping_group``).  Each memo write stores the one value its
-key can have, so concurrent use over shared loops is safe: at worst two
-callers compute the same entry twice.
+(``identities.inner_mapping_group``) and, under ``"div"``, the left and right
+division tables (``division``).  Every kernel that divides reads the same
+``"div"`` tables, so they are immutable: no caller can corrupt another's
+quotients.  Each memo write stores the one value its key can have, so
+concurrent use over shared loops is safe: at worst two callers compute the
+same entry twice.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import chain, combinations, permutations, product
+from itertools import chain, permutations
 from math import lcm
 
 from .errors import (
@@ -56,14 +59,11 @@ class FiniteLoop:
 
     def ldiv(self, a: int, b: int) -> int:
         """The unique x with a*x = b."""
-        return self.table[a].index(b)
+        return division(self)[0][a][b]
 
     def rdiv(self, a: int, b: int) -> int:
         """The unique y with y*a = b."""
-        for y in range(self.size):
-            if self.table[y][a] == b:
-                return y
-        raise AssertionError("column invariant violated")
+        return division(self)[1][a][b]
 
     def elements(self) -> range:
         return range(self.size)
@@ -176,49 +176,64 @@ def validate_loop(table, labels=None) -> FiniteLoop:
             raise ValueError("labels length must match table size")
         if len(set(labs)) != size:
             raise ValueError("labels must be distinct")
+    return _identity_first(rows, labs, identity)
+
+
+def _identity_first(rows, labs, identity: int) -> FiniteLoop:
+    """The loop on ``rows`` relabelled by swapping index 0 with the identity's position."""
+    size = len(rows)
     if identity != 0:
-        # relabel by swapping index 0 with the identity's position
         perm = list(range(size))
-        perm[0], perm[identity] = identity, 0
-        inv = perm  # a transposition is its own inverse
+        perm[0], perm[identity] = identity, 0  # a transposition is its own inverse
         rows = tuple(
-            tuple(inv[rows[perm[i]][perm[j]]] for j in range(size)) for i in range(size)
+            tuple(perm[rows[perm[i]][perm[j]]] for j in range(size)) for i in range(size)
         )
         labs = tuple(labs[perm[i]] for i in range(size))
     return FiniteLoop(size=size, table=rows, labels=labs)
 
 
-def mul(L: FiniteLoop, x: int, y: int) -> int:
-    return L.table[x][y]
+mul = FiniteLoop.mul
+left_divide = FiniteLoop.ldiv
+right_divide = FiniteLoop.rdiv
 
 
-def left_divide(L: FiniteLoop, a: int, b: int) -> int:
-    """The unique x with a*x = b."""
-    return L.ldiv(a, b)
+def division(L: FiniteLoop) -> tuple[tuple[Sequence[int], ...], tuple[Sequence[int], ...]]:
+    """``(ld, rd)``: ``ld[a][b]`` is the x with a*x = b, ``rd[a][b]`` the y with y*a = b.
 
-
-def right_divide(L: FiniteLoop, a: int, b: int) -> int:
-    """The unique y with y*a = b."""
-    return L.rdiv(a, b)
+    Built in one pass over the table and memoised on L under ``"div"``; rows are
+    ``bytes`` (2n^2 bytes in all, not 16n^2) while every element fits in a byte.
+    """
+    div = L._memo.get("div")
+    if div is None:
+        n = L.size
+        ld = [[0] * n for _ in range(n)]
+        rd = [[0] * n for _ in range(n)]
+        for a, row in enumerate(L.table):
+            lda = ld[a]
+            for x, ax in enumerate(row):
+                lda[ax] = x
+                rd[x][ax] = a
+        line = bytes if n <= 256 else tuple
+        div = L._memo["div"] = (tuple(map(line, ld)), tuple(map(line, rd)))
+    return div
 
 
 def two_sided_inverse(L: FiniteLoop, x: int) -> int | None:
     """The element y with x*y = y*x = e, or None when left and right inverses differ."""
-    right = L.ldiv(x, 0)
-    left = L.rdiv(x, 0)
-    return right if right == left else None
+    ld, rd = division(L)
+    return ld[x][0] if ld[x][0] == rd[x][0] else None
 
 
 def associator(L: FiniteLoop, x: int, y: int, z: int) -> int:
     """The unique w with (xy)z = (x(yz))w."""
-    lhs = L.table[L.table[x][y]][z]
-    rhs = L.table[x][L.table[y][z]]
-    return L.ldiv(rhs, lhs)
+    t = L.table
+    return division(L)[0][t[x][t[y][z]]][t[t[x][y]][z]]
 
 
 def commutator(L: FiniteLoop, x: int, y: int) -> int:
     """The unique w with xy = (yx)w."""
-    return L.ldiv(L.table[y][x], L.table[x][y])
+    t = L.table
+    return division(L)[0][t[y][x]][t[x][y]]
 
 
 def generated_subloop(L: FiniteLoop, seed) -> SubLoop:
@@ -289,18 +304,19 @@ def is_subgroup(L: FiniteLoop, S: SubLoop) -> bool:
     flags = L._memo.setdefault("subgroup", {})
     flag = flags.get(S.elements)
     if flag is None:
-        flag = flags[S.elements] = _is_associative_on(L.table, S.elements)
+        flag = flags[S.elements] = _associativity_failure(L.table, S.elements) is None
     return flag
 
 
-def _is_associative_on(t, elems) -> bool:
+def _associativity_failure(t, elems) -> tuple[int, int, int] | None:
+    """First triple over ``elems``, in their order, with (xy)z != x(yz); None if none fails."""
     for x in elems:
         for y in elems:
             xy = t[x][y]
             for z in elems:
                 if t[xy][z] != t[x][t[y][z]]:
-                    return False
-    return True
+                    return (x, y, z)
+    return None
 
 
 def is_commutative_subset(L: FiniteLoop, elems) -> bool:
@@ -543,35 +559,11 @@ def factorize(n: int) -> list[tuple[int, int]]:
 
 def power_ambiguity(L: FiniteLoop, x: int) -> tuple[int, int, int] | None:
     """An associativity failure inside <x>, or None when x has a clean order."""
-    gen = generated_subloop(L, (x,))
-    t = L.table
-    for a in gen.elements:
-        for b in gen.elements:
-            ab = t[a][b]
-            for c in gen.elements:
-                if t[ab][c] != t[a][t[b][c]]:
-                    return (a, b, c)
-    return None
-
-
-def all_closed_subsets(L: FiniteLoop) -> list[SubLoop]:
-    """Brute-force power-set subloop enumeration; exponential, for oracles only."""
-    out = []
-    rest = range(1, L.size)
-    for r in range(0, L.size):
-        for combo in combinations(rest, r):
-            cand = (0,) + combo
-            inside = frozenset(cand)
-            if all(L.table[x][y] in inside for x in cand for y in cand):
-                out.append(SubLoop(cand, L.size))
-    return out
+    return _associativity_failure(L.table, generated_subloop(L, (x,)).elements)
 
 
 def is_associative(L: FiniteLoop) -> bool:
-    return all(
-        L.table[L.table[x][y]][z] == L.table[x][L.table[y][z]]
-        for x, y, z in product(range(L.size), repeat=3)
-    )
+    return _associativity_failure(L.table, range(L.size)) is None
 
 
 def compose(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:

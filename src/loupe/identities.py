@@ -18,9 +18,9 @@ from . import substructures
 from .config import DEFAULT_CAPS, Caps
 from .core import (
     FiniteLoop,
-    associator,
     compose,
     cyclic_closures,
+    division,
     generated_subloop,
     is_commutative_subset,
     is_cyclic_group,
@@ -64,118 +64,102 @@ class Law(enum.Enum):
     IP = "ip"
 
 
-_BINARY_LAWS = {
-    Law.COMMUTATIVE: lambda t, x, y: t[x][y] == t[y][x],
-    Law.LEFT_ALTERNATIVE: lambda t, x, y: t[t[x][x]][y] == t[x][t[x][y]],
-    Law.RIGHT_ALTERNATIVE: lambda t, x, y: t[t[x][y]][y] == t[x][t[y][y]],
-    Law.FLEXIBLE: lambda t, x, y: t[t[x][y]][x] == t[x][t[y][x]],
+def _commutes(t, ld, x, y) -> bool:
+    return t[x][y] == t[y][x]
+
+
+def _law(arity: int, holds) -> tuple:
+    """The row of a law decided by one check with no detail."""
+    return ((arity, ((holds, ""),)),)
+
+
+# Each law is a row of passes (arity, checks[, pin]) that one scan decides in
+# order: the first tuple, lexicographically, to fail a check fails the law with
+# the detail of the first check it fails.  Predicates take the table t, the
+# left-division table ld (None unless the law is in _DIVIDING) and the tuple.
+# A pin completes a pair witness with the z the law fixes: WIP's (xy)z = e pins
+# z per (x, y), so its pair scan meets the first violating triple in cubic-scan
+# order.  _INVERSES, the first pass of Bruck and IP, asks every right inverse
+# ld[x][0] to be a left inverse too.
+_INVERSES = (1, ((lambda t, ld, x: t[ld[x][0]][x] == 0, "no two-sided inverse"),))
+_LAWS = {
+    Law.COMMUTATIVE: _law(2, _commutes),
+    Law.ASSOCIATIVE: _law(3, lambda t, ld, x, y, z: t[t[x][y]][z] == t[x][t[y][z]]),
+    Law.MOUFANG1: _law(3, lambda t, ld, x, y, z: t[t[x][y]][t[z][x]] == t[t[x][t[y][z]]][x]),
+    Law.MOUFANG2: _law(3, lambda t, ld, x, y, z: t[t[t[x][y]][z]][y] == t[x][t[y][t[z][y]]]),
+    Law.MOUFANG3: _law(3, lambda t, ld, x, y, z: t[x][t[y][t[x][z]]] == t[t[t[x][y]][x]][z]),
+    Law.BOL: _law(3, lambda t, ld, x, y, z: t[t[t[x][y]][z]][y] == t[x][t[t[y][z]][y]]),
+    Law.BRUCK: (
+        _INVERSES,
+        (2, ((lambda t, ld, x, y: ld[t[x][y]][0] == t[ld[x][0]][ld[y][0]],
+              "(xy)^-1 = x^-1 y^-1 fails"),)),
+        (3, ((lambda t, ld, x, y, z: t[t[x][t[y][x]]][z] == t[x][t[y][t[x][z]]],
+              "x(yx)z = x(y(xz)) fails"),)),
+    ),
+    Law.WIP: (
+        (2, ((lambda t, ld, x, y: t[x][t[y][ld[t[x][y]][0]]] == 0, ""),),
+         lambda t, ld, x, y: ld[t[x][y]][0]),
+    ),
+    Law.LEFT_ALTERNATIVE: _law(2, lambda t, ld, x, y: t[t[x][x]][y] == t[x][t[x][y]]),
+    Law.RIGHT_ALTERNATIVE: _law(2, lambda t, ld, x, y: t[t[x][y]][y] == t[x][t[y][y]]),
+    Law.FLEXIBLE: _law(2, lambda t, ld, x, y: t[t[x][y]][x] == t[x][t[y][x]]),
+    # the associators of (x, y, z) and (y, z, x) agree
+    Law.SEMI_ALTERNATIVE: _law(3, lambda t, ld, x, y, z: (
+        ld[t[x][t[y][z]]][t[t[x][y]][z]] == ld[t[y][t[z][x]]][t[t[y][z]][x]])),
+    # commutativity plus the squared-product law a^2(ba) = (a^2 b)a
+    Law.JORDAN: (
+        (2, ((_commutes, "commutativity fails"),
+             (lambda t, ld, a, b: t[t[a][a]][t[b][a]] == t[t[t[a][a]][b]][a], "square law fails"))),
+    ),
+    Law.STEINER: (
+        (1, ((lambda t, ld, x: t[x][x] == 0, "not involutory"),)),
+        (2, ((_commutes, "commutativity fails"),
+             (lambda t, ld, x, y: t[x][t[x][y]] == y, "x(xy) = y fails"))),
+    ),
+    Law.IP: (
+        _INVERSES,
+        (2, ((lambda t, ld, x, y: t[ld[x][0]][t[x][y]] == y and t[t[y][x]][ld[x][0]] == y, ""),)),
+    ),
 }
-
-_TERNARY_LAWS = {
-    Law.ASSOCIATIVE: lambda t, x, y, z: t[t[x][y]][z] == t[x][t[y][z]],
-    Law.MOUFANG1: lambda t, x, y, z: t[t[x][y]][t[z][x]] == t[t[x][t[y][z]]][x],
-    Law.MOUFANG2: lambda t, x, y, z: t[t[t[x][y]][z]][y] == t[x][t[y][t[z][y]]],
-    Law.MOUFANG3: lambda t, x, y, z: t[x][t[y][t[x][z]]] == t[t[t[x][y]][x]][z],
-    Law.BOL: lambda t, x, y, z: t[t[t[x][y]][z]][y] == t[x][t[t[y][z]][y]],
-}
+_DIVIDING = {Law.BRUCK, Law.WIP, Law.SEMI_ALTERNATIVE, Law.IP}
 
 
-def _bruck_triple(t, x, y, z) -> bool:
-    """The Bruck loop's left Bol half: (x(yx))z = x(y(xz))."""
-    return t[t[x][t[y][x]]][z] == t[x][t[y][t[x][z]]]
-
-
-def _inverse_table(L: FiniteLoop) -> list[int] | Verdict:
-    """Two-sided inverses in element order, or a failing Verdict at the first one missing."""
-    inv = []
-    for x in range(L.size):
-        ix = two_sided_inverse(L, x)
-        if ix is None:
-            return Verdict(False, (x,), "no two-sided inverse")
-        inv.append(ix)
-    return inv
+def _first_failure(t, ld, size: int, arity: int, checks) -> tuple | None:
+    """First tuple of ``arity`` elements, in lexicographic order, failing one of ``checks``."""
+    holds = checks[0][0]
+    if len(checks) > 1:
+        holds = lambda *w: all(p(*w) for p, _ in checks)
+    r = range(size)
+    if arity == 1:
+        for x in r:
+            if not holds(t, ld, x):
+                return (x,)
+    elif arity == 2:
+        for x in r:
+            for y in r:
+                if not holds(t, ld, x, y):
+                    return (x, y)
+    else:
+        for x in r:
+            for y in r:
+                for z in r:
+                    if not holds(t, ld, x, y, z):
+                        return (x, y, z)
+    return None
 
 
 def check_law(L: FiniteLoop, law: Law) -> Verdict:
     """Decide a quantified identity; first counterexample in lexicographic order."""
+    if law not in _LAWS:
+        raise ValueError(f"unknown law {law}")
     t = L.table
-    size = L.size
-    if law in _BINARY_LAWS:
-        pred = _BINARY_LAWS[law]
-        for x in range(size):
-            for y in range(size):
-                if not pred(t, x, y):
-                    return Verdict(False, (x, y))
-        return Verdict(True)
-    if law in _TERNARY_LAWS:
-        pred = _TERNARY_LAWS[law]
-        for x in range(size):
-            for y in range(size):
-                for z in range(size):
-                    if not pred(t, x, y, z):
-                        return Verdict(False, (x, y, z))
-        return Verdict(True)
-    if law is Law.WIP:
-        # (xy)z = e pins z per (x, y), so scanning pairs visits the first
-        # violating triple in the same order as the cubic scan would
-        for x in range(size):
-            for y in range(size):
-                z = L.ldiv(t[x][y], 0)
-                if t[x][t[y][z]] != 0:
-                    return Verdict(False, (x, y, z))
-        return Verdict(True)
-    if law is Law.SEMI_ALTERNATIVE:
-        for x in range(size):
-            for y in range(size):
-                for z in range(size):
-                    if associator(L, x, y, z) != associator(L, y, z, x):
-                        return Verdict(False, (x, y, z))
-        return Verdict(True)
-    if law is Law.JORDAN:
-        # commutativity plus the squared-product law a^2(ba) = (a^2 b)a
-        for a in range(size):
-            for b in range(size):
-                if t[a][b] != t[b][a]:
-                    return Verdict(False, (a, b), "commutativity fails")
-                aa = t[a][a]
-                if t[aa][t[b][a]] != t[t[aa][b]][a]:
-                    return Verdict(False, (a, b), "square law fails")
-        return Verdict(True)
-    if law is Law.STEINER:
-        for x in range(size):
-            if t[x][x] != 0:
-                return Verdict(False, (x,), "not involutory")
-        for x in range(size):
-            for y in range(size):
-                if t[x][y] != t[y][x]:
-                    return Verdict(False, (x, y), "commutativity fails")
-                if t[x][t[x][y]] != y:
-                    return Verdict(False, (x, y), "x(xy) = y fails")
-        return Verdict(True)
-    if law is Law.IP:
-        inv = _inverse_table(L)
-        if isinstance(inv, Verdict):
-            return inv
-        for x in range(size):
-            for y in range(size):
-                if t[inv[x]][t[x][y]] != y or t[t[y][x]][inv[x]] != y:
-                    return Verdict(False, (x, y))
-        return Verdict(True)
-    if law is Law.BRUCK:
-        inv = _inverse_table(L)
-        if isinstance(inv, Verdict):
-            return inv
-        for x in range(size):
-            for y in range(size):
-                if inv[t[x][y]] != t[inv[x]][inv[y]]:
-                    return Verdict(False, (x, y), "(xy)^-1 = x^-1 y^-1 fails")
-        for x in range(size):
-            for y in range(size):
-                for z in range(size):
-                    if not _bruck_triple(t, x, y, z):
-                        return Verdict(False, (x, y, z), "x(yx)z = x(y(xz)) fails")
-        return Verdict(True)
-    raise ValueError(f"unknown law {law}")
+    ld = division(L)[0] if law in _DIVIDING else None
+    for arity, checks, *pin in _LAWS[law]:
+        w = _first_failure(t, ld, L.size, arity, checks)
+        if w is not None:
+            detail = next(d for p, d in checks if not p(t, ld, *w))
+            return Verdict(False, w + tuple(f(t, ld, *w) for f in pin), detail)
+    return Verdict(True)
 
 
 class StrictForm(enum.Enum):
@@ -185,39 +169,29 @@ class StrictForm(enum.Enum):
     STRICT_NON_ALTERNATIVE = "strict_non_alternative"
 
 
+_STRICT = {
+    StrictForm.STRICT_NON_COMMUTATIVE: ((Law.COMMUTATIVE, ""),),
+    StrictForm.STRICT_NON_LEFT_ALT: ((Law.LEFT_ALTERNATIVE, ""),),
+    StrictForm.STRICT_NON_RIGHT_ALT: ((Law.RIGHT_ALTERNATIVE, ""),),
+    StrictForm.STRICT_NON_ALTERNATIVE: (
+        (Law.LEFT_ALTERNATIVE, "left alternative law holds somewhere"),
+        (Law.RIGHT_ALTERNATIVE, "right alternative law holds somewhere"),
+    ),
+}
+
+
 def check_strict(L: FiniteLoop, form: StrictForm) -> Verdict:
-    """Strict negative forms, quantified over distinct non-identity pairs."""
+    """Strict negative forms: the named binary laws fail on every distinct non-identity pair."""
+    if form not in _STRICT:
+        raise ValueError(f"unknown strict form {form}")
     t = L.table
-    pairs = [
-        (x, y)
-        for x in range(1, L.size)
-        for y in range(1, L.size)
-        if x != y
-    ]
-    if form is StrictForm.STRICT_NON_COMMUTATIVE:
-        for x, y in pairs:
-            if t[x][y] == t[y][x]:
-                return Verdict(False, (x, y))
-        return Verdict(True)
-    if form is StrictForm.STRICT_NON_LEFT_ALT:
-        for x, y in pairs:
-            if t[t[x][x]][y] == t[x][t[x][y]]:
-                return Verdict(False, (x, y))
-        return Verdict(True)
-    if form is StrictForm.STRICT_NON_RIGHT_ALT:
-        for x, y in pairs:
-            if t[t[x][y]][y] == t[x][t[y][y]]:
-                return Verdict(False, (x, y))
-        return Verdict(True)
-    if form is StrictForm.STRICT_NON_ALTERNATIVE:
-        left = check_strict(L, StrictForm.STRICT_NON_LEFT_ALT)
-        if not left.holds:
-            return Verdict(False, left.witness, "left alternative law holds somewhere")
-        right = check_strict(L, StrictForm.STRICT_NON_RIGHT_ALT)
-        if not right.holds:
-            return Verdict(False, right.witness, "right alternative law holds somewhere")
-        return Verdict(True)
-    raise ValueError(f"unknown strict form {form}")
+    for law, detail in _STRICT[form]:
+        ((_, ((holds, _),)),) = _LAWS[law]  # a one-check binary row
+        for x in range(1, L.size):
+            for y in range(1, L.size):
+                if x != y and holds(t, None, x, y):
+                    return Verdict(False, (x, y), detail)
+    return Verdict(True)
 
 
 def is_power_associative(L: FiniteLoop) -> Verdict:
@@ -431,18 +405,13 @@ def _bruck_generators(L: FiniteLoop) -> set[tuple[int, ...]]:
     """
     t = L.table
     n = L.size
-    ldiv = [[0] * n for _ in range(n)]  # ldiv[a][b]: the x with ax = b
-    rdiv = [[0] * n for _ in range(n)]  # rdiv[a][b]: the y with ya = b
-    for a in range(n):
-        for x in range(n):
-            ldiv[a][t[a][x]] = x
-            rdiv[x][t[a][x]] = a
-    gens = {tuple(ldiv[x][t[z][x]] for z in range(n)) for x in range(n)}
+    ld, rd = division(L)
+    gens = {tuple(ld[x][t[z][x]] for z in range(n)) for x in range(n)}
     for x in range(n):
         for y in range(n):
             xy, yx = t[x][y], t[y][x]
-            gens.add(tuple(rdiv[xy][t[t[z][x]][y]] for z in range(n)))
-            gens.add(tuple(ldiv[yx][t[y][t[x][z]]] for z in range(n)))
+            gens.add(tuple(rd[xy][t[t[z][x]][y]] for z in range(n)))
+            gens.add(tuple(ld[yx][t[y][t[x][z]]] for z in range(n)))
     return gens
 
 

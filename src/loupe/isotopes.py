@@ -11,10 +11,11 @@ from .config import DEFAULT_CAPS, Caps
 from .core import (
     FiniteLoop,
     SubLoop,
+    _identity_first,
+    division,
     find_isomorphism,
     is_subgroup,
     subloop_as_loop,
-    validate_loop,
 )
 from .errors import BadIndex, CapExceeded, NotAnSSubloop
 from .identities import Verdict
@@ -22,21 +23,19 @@ from . import smarandache
 
 
 def principal_isotope(L: FiniteLoop, a: int, b: int) -> FiniteLoop:
-    """The (a, b)-isotope, revalidated with its identity moved to index 0.
+    """The (a, b)-isotope, with its identity moved to index 0.
 
-    The original element names ride along in the labels, so the label at
-    index 0 names the product b.a from the source loop.
+    The isotope is a loop by construction, so it is not revalidated.  The
+    original element names ride along in the labels, so the label at index 0
+    names the product b.a from the source loop.
     """
     if not (0 <= a < L.size and 0 <= b < L.size):
         raise BadIndex(f"isotope pair ({a}, {b}) out of range")
-    size = L.size
-    rdiv_by_a = [L.rdiv(a, x) for x in range(size)]   # X with X.a = x
-    row_b = L.table[b]                                 # b.Y = y  =>  Y = ldiv(b, y)
-    ldiv_by_b = [row_b.index(y) for y in range(size)]
-    table = [
-        [L.table[rdiv_by_a[x]][ldiv_by_b[y]] for y in range(size)] for x in range(size)
-    ]
-    return validate_loop(table, L.labels)
+    ld, rd = division(L)
+    t = L.table
+    # row x holds X.Y with X.a = x, for the Y with b.Y = y in column y
+    rows = tuple(tuple(map(t[X].__getitem__, ld[b])) for X in rd[a])
+    return _identity_first(rows, L.labels, t[b][a])
 
 
 def is_g_loop(L: FiniteLoop, cap: int = DEFAULT_CAPS.search) -> Verdict:

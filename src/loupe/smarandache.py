@@ -37,10 +37,9 @@ from .errors import (
     SearchCapExceeded,
 )
 from .identities import (
-    _TERNARY_LAWS,
+    _LAWS,
     Law,
     Verdict,
-    _bruck_triple,
     check_law,
     is_arif,
     is_diassociative,
@@ -448,10 +447,11 @@ class TripleLaw(enum.Enum):
     BRUCK = "bruck"
 
 
+# each formula is the ternary check in the row of the matching law of ``check_law``
 _TRIPLE_LAWS = {
-    TripleLaw.BOL: _TERNARY_LAWS[Law.BOL],
-    TripleLaw.MOUFANG: _TERNARY_LAWS[Law.MOUFANG1],
-    TripleLaw.BRUCK: _bruck_triple,
+    triple: next(checks[0][0] for arity, checks, *_ in _LAWS[law] if arity == 3)
+    for triple, law in ((TripleLaw.BOL, Law.BOL), (TripleLaw.MOUFANG, Law.MOUFANG1),
+                        (TripleLaw.BRUCK, Law.BRUCK))
 }
 
 
@@ -459,14 +459,10 @@ def special_triple(
     L: FiniteLoop, x: int, y: int, z: int, law: TripleLaw, strong: bool = False
 ) -> Verdict:
     """Evaluate one identity instance on a specific triple (all 6 orders if strong)."""
-    t = L.table
-    pred = _TRIPLE_LAWS[law]
-    if not strong:
-        holds = pred(t, x, y, z)
-        return Verdict(holds, None if holds else (x, y, z))
-    for perm in permutations((x, y, z)):
-        if not pred(t, *perm):
-            return Verdict(False, perm)
+    holds = _TRIPLE_LAWS[law]
+    for w in permutations((x, y, z)) if strong else ((x, y, z),):
+        if not holds(L.table, None, *w):
+            return Verdict(False, w)
     return Verdict(True)
 
 

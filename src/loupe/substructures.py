@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from itertools import combinations
 
 from .config import DEFAULT_CAPS, Caps
 from .core import (
@@ -45,9 +44,6 @@ class SubloopCensus:
 
     def normal_subloops(self) -> list[SubLoop]:
         return [s for s, f in zip(self.subloops, self.normal_flags) if f]
-
-    def proper_nontrivial(self) -> list[SubLoop]:
-        return [s for s in self.subloops if s.is_proper() and not s.is_trivial()]
 
 
 def _canonical(subs) -> list[SubLoop]:
@@ -291,26 +287,6 @@ def frattini_subloop(L: FiniteLoop, caps: Caps = DEFAULT_CAPS) -> SubLoop:
     for s in maximal:
         members &= s.as_set()
     return certify_subloop(L, members)
-
-
-def frattini_literal(L: FiniteLoop) -> SubLoop:
-    """Non-generator definition by subset scan; exponential, for cross-checks only."""
-    size = L.size
-    full = frozenset(range(size))
-    everything = list(range(size))
-    subsets = [
-        frozenset(c) for r in range(size + 1) for c in combinations(everything, r)
-    ]
-    closures = {s: generated_subloop(L, s or (0,)).as_set() for s in subsets}
-    non_gens = []
-    for x in range(size):
-        if all(
-            closures[s] == full
-            for s in subsets
-            if x not in s and closures[frozenset(s | {x})] == full
-        ):
-            non_gens.append(x)
-    return certify_subloop(L, non_gens)
 
 
 class SeriesKind(enum.Enum):

@@ -1,27 +1,30 @@
 """Brute-force reference implementations the library's fast paths are checked against.
 
 Each oracle recomputes from the table alone, with no memoised data: closures
-are formed afresh, associativity is a triple scan, element orders are found
-by walking powers, isomorphisms are searched without invariant pruning,
-multiplication groups are closed by composing in Python and inner-mapping
-laws are scanned over every inner mapping.
+are formed afresh, associativity is a triple scan, division scans a row or a
+column, element orders are found by walking powers, isomorphisms are searched
+without invariant pruning, isotopes are revalidated, multiplication groups
+are closed by composing in Python, inner-mapping laws are scanned over every
+inner mapping and each law is decided by its own hand-written branch.
 """
 
 from __future__ import annotations
 
+from itertools import combinations, permutations
+
 from loupe.core import (
     FiniteLoop,
     SubLoop,
+    certify_subloop,
     compose,
     generated_subloop,
     normality_witness,
     subloop_as_loop,
-    two_sided_inverse,
     validate_loop,
 )
-from loupe.errors import CapExceeded
-from loupe.identities import Verdict
-from loupe.isotopes import principal_isotope
+from loupe.errors import BadIndex, CapExceeded
+from loupe.identities import Law, StrictForm, Verdict
+from loupe.smarandache import TripleLaw
 from loupe.substructures import SubloopCensus
 
 
@@ -29,6 +32,33 @@ def is_associative_by_triples(L: FiniteLoop, elems) -> bool:
     """(xy)z = x(yz) for every triple drawn from ``elems``."""
     t = L.table
     return all(t[t[x][y]][z] == t[x][t[y][z]] for x in elems for y in elems for z in elems)
+
+
+def ldiv_by_scan(L: FiniteLoop, a: int, b: int) -> int:
+    """The unique x with a*x = b, by scanning row a."""
+    return L.table[a].index(b)
+
+
+def rdiv_by_scan(L: FiniteLoop, a: int, b: int) -> int:
+    """The unique y with y*a = b, by scanning column a."""
+    for y in range(L.size):
+        if L.table[y][a] == b:
+            return y
+    raise AssertionError("column invariant violated")
+
+
+def two_sided_inverse_by_scan(L: FiniteLoop, x: int) -> int | None:
+    """The element y with x*y = y*x = e, or None when left and right inverses differ."""
+    right = ldiv_by_scan(L, x, 0)
+    left = rdiv_by_scan(L, x, 0)
+    return right if right == left else None
+
+
+def associator_by_scan(L: FiniteLoop, x: int, y: int, z: int) -> int:
+    """The unique w with (xy)z = (x(yz))w."""
+    lhs = L.table[L.table[x][y]][z]
+    rhs = L.table[x][L.table[y][z]]
+    return ldiv_by_scan(L, rhs, lhs)
 
 
 def census_by_extension(L: FiniteLoop) -> SubloopCensus:
@@ -92,11 +122,29 @@ def is_isomorphic_by_search(L1: FiniteLoop, L2: FiniteLoop) -> bool:
     return extend([0])
 
 
+def principal_isotope_by_validation(L: FiniteLoop, a: int, b: int) -> FiniteLoop:
+    """The (a, b)-isotope, revalidated with its identity moved to index 0.
+
+    The original element names ride along in the labels, so the label at
+    index 0 names the product b.a from the source loop.
+    """
+    if not (0 <= a < L.size and 0 <= b < L.size):
+        raise BadIndex(f"isotope pair ({a}, {b}) out of range")
+    size = L.size
+    rdiv_by_a = [rdiv_by_scan(L, a, x) for x in range(size)]  # X with X.a = x
+    row_b = L.table[b]  # b.Y = y  =>  Y = ldiv(b, y)
+    ldiv_by_b = [row_b.index(y) for y in range(size)]
+    table = [
+        [L.table[rdiv_by_a[x]][ldiv_by_b[y]] for y in range(size)] for x in range(size)
+    ]
+    return validate_loop(table, L.labels)
+
+
 def is_g_loop_by_isotopes(L: FiniteLoop) -> Verdict:
     """First principal isotope (a, b) not isomorphic to L."""
     for a in range(L.size):
         for b in range(L.size):
-            if not is_isomorphic_by_search(L, principal_isotope(L, a, b)):
+            if not is_isomorphic_by_search(L, principal_isotope_by_validation(L, a, b)):
                 return Verdict(False, (a, b))
     return Verdict(True)
 
@@ -185,7 +233,7 @@ def is_a_loop_by_scan(L: FiniteLoop, inn) -> Verdict:
 
 def is_arif_by_scan(L: FiniteLoop, inn) -> Verdict:
     """First inner mapping in ``inn`` that does not commute with inversion (L must be IP)."""
-    j = tuple(two_sided_inverse(L, x) for x in range(L.size))
+    j = tuple(two_sided_inverse_by_scan(L, x) for x in range(L.size))
     for theta in inn:
         if compose(j, compose(theta, j)) != theta:
             return Verdict(False, (theta,))
@@ -210,25 +258,244 @@ def normality_witness_by_scan(L: FiniteLoop, H: SubLoop) -> tuple[int, int, int 
     return None
 
 
-def random_loop(rng, n: int) -> FiniteLoop:
-    """A random loop of order n: a reduced Latin square filled by randomised backtracking."""
+_BINARY_LAWS = {
+    Law.COMMUTATIVE: lambda t, x, y: t[x][y] == t[y][x],
+    Law.LEFT_ALTERNATIVE: lambda t, x, y: t[t[x][x]][y] == t[x][t[x][y]],
+    Law.RIGHT_ALTERNATIVE: lambda t, x, y: t[t[x][y]][y] == t[x][t[y][y]],
+    Law.FLEXIBLE: lambda t, x, y: t[t[x][y]][x] == t[x][t[y][x]],
+}
+
+_TERNARY_LAWS = {
+    Law.ASSOCIATIVE: lambda t, x, y, z: t[t[x][y]][z] == t[x][t[y][z]],
+    Law.MOUFANG1: lambda t, x, y, z: t[t[x][y]][t[z][x]] == t[t[x][t[y][z]]][x],
+    Law.MOUFANG2: lambda t, x, y, z: t[t[t[x][y]][z]][y] == t[x][t[y][t[z][y]]],
+    Law.MOUFANG3: lambda t, x, y, z: t[x][t[y][t[x][z]]] == t[t[t[x][y]][x]][z],
+    Law.BOL: lambda t, x, y, z: t[t[t[x][y]][z]][y] == t[x][t[t[y][z]][y]],
+}
+
+
+def _bruck_triple(t, x, y, z) -> bool:
+    """The Bruck loop's left Bol half: (x(yx))z = x(y(xz))."""
+    return t[t[x][t[y][x]]][z] == t[x][t[y][t[x][z]]]
+
+
+def _inverse_table(L: FiniteLoop) -> list[int] | Verdict:
+    """Two-sided inverses in element order, or a failing Verdict at the first one missing."""
+    inv = []
+    for x in range(L.size):
+        ix = two_sided_inverse_by_scan(L, x)
+        if ix is None:
+            return Verdict(False, (x,), "no two-sided inverse")
+        inv.append(ix)
+    return inv
+
+
+def check_law_by_branches(L: FiniteLoop, law: Law) -> Verdict:
+    """One hand-written branch per law outside the product-only tables."""
+    t = L.table
+    size = L.size
+    if law in _BINARY_LAWS:
+        pred = _BINARY_LAWS[law]
+        for x in range(size):
+            for y in range(size):
+                if not pred(t, x, y):
+                    return Verdict(False, (x, y))
+        return Verdict(True)
+    if law in _TERNARY_LAWS:
+        pred = _TERNARY_LAWS[law]
+        for x in range(size):
+            for y in range(size):
+                for z in range(size):
+                    if not pred(t, x, y, z):
+                        return Verdict(False, (x, y, z))
+        return Verdict(True)
+    if law is Law.WIP:
+        # (xy)z = e pins z per (x, y), so scanning pairs visits the first
+        # violating triple in the same order as the cubic scan would
+        for x in range(size):
+            for y in range(size):
+                z = ldiv_by_scan(L, t[x][y], 0)
+                if t[x][t[y][z]] != 0:
+                    return Verdict(False, (x, y, z))
+        return Verdict(True)
+    if law is Law.SEMI_ALTERNATIVE:
+        for x in range(size):
+            for y in range(size):
+                for z in range(size):
+                    if associator_by_scan(L, x, y, z) != associator_by_scan(L, y, z, x):
+                        return Verdict(False, (x, y, z))
+        return Verdict(True)
+    if law is Law.JORDAN:
+        # commutativity plus the squared-product law a^2(ba) = (a^2 b)a
+        for a in range(size):
+            for b in range(size):
+                if t[a][b] != t[b][a]:
+                    return Verdict(False, (a, b), "commutativity fails")
+                aa = t[a][a]
+                if t[aa][t[b][a]] != t[t[aa][b]][a]:
+                    return Verdict(False, (a, b), "square law fails")
+        return Verdict(True)
+    if law is Law.STEINER:
+        for x in range(size):
+            if t[x][x] != 0:
+                return Verdict(False, (x,), "not involutory")
+        for x in range(size):
+            for y in range(size):
+                if t[x][y] != t[y][x]:
+                    return Verdict(False, (x, y), "commutativity fails")
+                if t[x][t[x][y]] != y:
+                    return Verdict(False, (x, y), "x(xy) = y fails")
+        return Verdict(True)
+    if law is Law.IP:
+        inv = _inverse_table(L)
+        if isinstance(inv, Verdict):
+            return inv
+        for x in range(size):
+            for y in range(size):
+                if t[inv[x]][t[x][y]] != y or t[t[y][x]][inv[x]] != y:
+                    return Verdict(False, (x, y))
+        return Verdict(True)
+    if law is Law.BRUCK:
+        inv = _inverse_table(L)
+        if isinstance(inv, Verdict):
+            return inv
+        for x in range(size):
+            for y in range(size):
+                if inv[t[x][y]] != t[inv[x]][inv[y]]:
+                    return Verdict(False, (x, y), "(xy)^-1 = x^-1 y^-1 fails")
+        for x in range(size):
+            for y in range(size):
+                for z in range(size):
+                    if not _bruck_triple(t, x, y, z):
+                        return Verdict(False, (x, y, z), "x(yx)z = x(y(xz)) fails")
+        return Verdict(True)
+    raise ValueError(f"unknown law {law}")
+
+
+def check_strict_by_branches(L: FiniteLoop, form: StrictForm) -> Verdict:
+    """Strict negative forms, one hand-written scan per form."""
+    t = L.table
+    pairs = [
+        (x, y)
+        for x in range(1, L.size)
+        for y in range(1, L.size)
+        if x != y
+    ]
+    if form is StrictForm.STRICT_NON_COMMUTATIVE:
+        for x, y in pairs:
+            if t[x][y] == t[y][x]:
+                return Verdict(False, (x, y))
+        return Verdict(True)
+    if form is StrictForm.STRICT_NON_LEFT_ALT:
+        for x, y in pairs:
+            if t[t[x][x]][y] == t[x][t[x][y]]:
+                return Verdict(False, (x, y))
+        return Verdict(True)
+    if form is StrictForm.STRICT_NON_RIGHT_ALT:
+        for x, y in pairs:
+            if t[t[x][y]][y] == t[x][t[y][y]]:
+                return Verdict(False, (x, y))
+        return Verdict(True)
+    if form is StrictForm.STRICT_NON_ALTERNATIVE:
+        left = check_strict_by_branches(L, StrictForm.STRICT_NON_LEFT_ALT)
+        if not left.holds:
+            return Verdict(False, left.witness, "left alternative law holds somewhere")
+        right = check_strict_by_branches(L, StrictForm.STRICT_NON_RIGHT_ALT)
+        if not right.holds:
+            return Verdict(False, right.witness, "right alternative law holds somewhere")
+        return Verdict(True)
+    raise ValueError(f"unknown strict form {form}")
+
+
+_TRIPLE_FORMULAS = {
+    TripleLaw.BOL: _TERNARY_LAWS[Law.BOL],
+    TripleLaw.MOUFANG: _TERNARY_LAWS[Law.MOUFANG1],
+    TripleLaw.BRUCK: _bruck_triple,
+}
+
+
+def special_triple_by_formulas(
+    L: FiniteLoop, x: int, y: int, z: int, law: TripleLaw, strong: bool = False
+) -> Verdict:
+    """Evaluate one identity instance on a specific triple (all 6 orders if strong)."""
+    t = L.table
+    pred = _TRIPLE_FORMULAS[law]
+    if not strong:
+        holds = pred(t, x, y, z)
+        return Verdict(holds, None if holds else (x, y, z))
+    for perm in permutations((x, y, z)):
+        if not pred(t, *perm):
+            return Verdict(False, perm)
+    return Verdict(True)
+
+
+def all_closed_subsets(L: FiniteLoop) -> list[SubLoop]:
+    """Brute-force power-set subloop enumeration; exponential, for oracles only."""
+    out = []
+    rest = range(1, L.size)
+    for r in range(0, L.size):
+        for combo in combinations(rest, r):
+            cand = (0,) + combo
+            inside = frozenset(cand)
+            if all(L.table[x][y] in inside for x in cand for y in cand):
+                out.append(SubLoop(cand, L.size))
+    return out
+
+
+def frattini_literal(L: FiniteLoop) -> SubLoop:
+    """Non-generator definition by subset scan; exponential, for cross-checks only."""
+    size = L.size
+    full = frozenset(range(size))
+    everything = list(range(size))
+    subsets = [
+        frozenset(c) for r in range(size + 1) for c in combinations(everything, r)
+    ]
+    closures = {s: generated_subloop(L, s or (0,)).as_set() for s in subsets}
+    non_gens = []
+    for x in range(size):
+        if all(
+            closures[s] == full
+            for s in subsets
+            if x not in s and closures[frozenset(s | {x})] == full
+        ):
+            non_gens.append(x)
+    return certify_subloop(L, non_gens)
+
+
+def random_loop(rng, n: int, commutative: bool = False, involutory: bool = False) -> FiniteLoop:
+    """A random loop of order n: a reduced Latin square filled by randomised backtracking.
+
+    ``commutative`` fills a symmetric square; ``involutory`` puts e on the
+    diagonal (with ``commutative``, n must then be even).
+    """
     table = [[None] * n for _ in range(n)]
     for i in range(n):
         table[0][i] = table[i][0] = i
-    cells = [(i, j) for i in range(1, n) for j in range(1, n)]
+        if involutory and i:
+            table[i][i] = 0
+    cells = [
+        (i, j)
+        for i in range(1, n)
+        for j in range(i if commutative else 1, n)
+        if table[i][j] is None
+    ]
 
     def fill(k: int) -> bool:
         if k == len(cells):
             return True
         i, j = cells[k]
-        used = set(table[i][:j]) | {table[r][j] for r in range(i)}
+        used = set(table[i]) | {row[j] for row in table}
         choices = [v for v in range(n) if v not in used]
         rng.shuffle(choices)
         for v in choices:
             table[i][j] = v
+            if commutative:
+                table[j][i] = v
             if fill(k + 1):
                 return True
         table[i][j] = None
+        if commutative:
+            table[j][i] = None
         return False
 
     fill(0)

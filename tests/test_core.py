@@ -25,7 +25,6 @@ from loupe import (
     validate_loop,
 )
 from loupe.core import (
-    all_closed_subsets,
     is_associative,
     power_ambiguity,
 )
@@ -39,6 +38,7 @@ from loupe.errors import (
 )
 
 from conftest import L5_2_TABLE, family_params
+from oracles import all_closed_subsets
 
 
 SMALL_PARAMS = family_params(25)

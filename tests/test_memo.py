@@ -7,7 +7,7 @@ import random
 import pytest
 
 from loupe import Caps, build_ln
-from loupe.core import element_order, find_isomorphism, is_cyclic_group
+from loupe.core import division, element_order, find_isomorphism, is_cyclic_group
 from loupe.errors import CapExceeded
 from loupe.identities import is_diassociative
 from loupe.isotopes import is_g_loop
@@ -52,8 +52,9 @@ def test_memo_is_ignored_by_equality_hashing_and_replace():
     warm = build_ln(9, 5)
     all_subloops(warm)
     find_isomorphism(warm, warm)
+    division(warm)
     cold = dataclasses.replace(warm)
-    assert set(warm._memo) == {"census", "cyclic", "subgroup", "signatures"}
+    assert set(warm._memo) == {"census", "cyclic", "subgroup", "signatures", "div"}
     assert not cold._memo
     assert warm == cold
     assert hash(warm) == hash(cold)

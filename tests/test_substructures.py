@@ -24,13 +24,14 @@ from loupe.substructures import (
     derived_series_target,
     derived_subloop,
     first_normalizer,
-    frattini_literal,
     frattini_subloop,
     is_normal_subloop,
     moufang_centre,
     nucleus,
     second_normalizer,
 )
+
+from oracles import frattini_literal
 
 
 def test_census_of_reference_loops():
