@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .config import DEFAULT_CAPS, Caps
-from .core import FiniteLoop, validate_loop
+from .core import FiniteLoop, default_labels, validate_loop
 from .errors import (
     ImproperColoring,
     NotInvolutory,
@@ -161,7 +161,6 @@ def enumerate_involutory_right_alt(
     if order > 8:
         raise SizeCapExceeded("enumeration order", order, 8)
     all_edges = [tuple(e) for e in combinations(range(order), 2)]
-    vertices = tuple(range(order))
     solutions: list[FiniteLoop] = []
     used: set[Edge] = set()
     chosen: dict[int, tuple[Edge, ...]] = {}
@@ -177,16 +176,16 @@ def enumerate_involutory_right_alt(
                 for u, v in matching:
                     table[u][elem] = v
                     table[v][elem] = u
-            solutions.append(validate_loop(table))
+            # edge-disjoint perfect matchings covering K_n form a Latin square with identity 0
+            solutions.append(FiniteLoop(order, tuple(map(tuple, table)), default_labels(order)))
             return
-        avail = [e for e in all_edges if e not in used]
-        for matching in _matchings(avail, vertices):
+        free = [e for e in all_edges if e not in used and 0 not in e and a not in e]
+        rest = tuple(v for v in range(1, order) if v != a)
+        for tail in _matchings(free, rest):
             nodes += 1
             if nodes > caps.color_search:
                 raise SizeCapExceeded("coloring search nodes", nodes, caps.color_search)
-            if (0, a) not in matching:
-                continue
-            chosen[a] = matching
+            chosen[a] = matching = ((0, a),) + tail
             used.update(matching)
             place(a + 1)
             used.difference_update(matching)
@@ -197,11 +196,14 @@ def enumerate_involutory_right_alt(
 
 
 def count_one_factorizations(n_vertices: int) -> int:
-    """Independent count of partitions of K_n's edges into perfect matchings.
+    """Count the partitions of K_n's edges into perfect matchings.
 
-    Written as a direct edge-partition backtracker (anchor the smallest
-    uncovered edge, try every matching through it) so it shares nothing with
-    the loop enumeration above.
+    Shares the matching generator ``_matchings`` with the loop enumeration
+    above, but not its search: this backtracker anchors the smallest
+    uncovered edge, filters every matching of the remaining edges through
+    it and counts edge sets without building loops.  The cross-check
+    therefore compares two different partitions of the search space, not
+    one search run twice.
     """
     if n_vertices % 2 != 0:
         raise OddOrder(f"{n_vertices} vertices admit no perfect matching")

@@ -20,7 +20,12 @@ from .identities import Verdict
 
 @dataclass(frozen=True)
 class InclusionLattice:
-    """Nodes (element tuples) ordered by inclusion, with meet/join tables."""
+    """Nodes (element tuples) ordered by inclusion, with meet/join tables.
+
+    Nodes are sorted by size, then by their elements, and ``build_lattice``
+    is the only constructor.  ``covers``, the join and ``_shape`` rely on
+    that order: a node's proper supersets all come after it.
+    """
 
     labels: tuple[str, ...]
     nodes: tuple[tuple[int, ...], ...]
@@ -42,13 +47,9 @@ class InclusionLattice:
         """Hasse edges (i, j) with i covered by j, in node order."""
         out = []
         for i in range(self.size):
-            for j in range(self.size):
-                if i == j or not self.leq(i, j):
-                    continue
-                if not any(
-                    k != i and k != j and self.leq(i, k) and self.leq(k, j)
-                    for k in range(self.size)
-                ):
+            ups = [j for j in range(i + 1, self.size) if self.leq(i, j)]
+            for k, j in enumerate(ups):
+                if not any(self.leq(m, j) for m in ups[:k]):
                     out.append((i, j))
         return out
 
@@ -59,37 +60,36 @@ def build_lattice(
     """Close a family of subloops into a bounded inclusion lattice.
 
     The node set is the family plus bottom {e} and top L, closed under
-    pairwise intersection; the join of two nodes is the intersection of all
-    their common upper bounds, which the meet closure guarantees is itself a
-    node.
+    pairwise intersection.  The meet closure makes the least upper bound of
+    two nodes a node, and it is their smallest common superset, so the join
+    is the first node in size order that contains both.
     """
-    nodes: set[frozenset[int]] = {frozenset({0}), frozenset(range(L.size))}
-    for S in family:
-        nodes.add(S.as_set() if isinstance(S, SubLoop) else frozenset(S))
-    changed = True
-    while changed:
-        changed = False
-        for a, b in combinations(sorted(nodes, key=sorted), 2):
-            cap_set = a & b
-            if cap_set not in nodes:
-                nodes.add(cap_set)
-                changed = True
-                if len(nodes) > caps.lattice_build:
-                    raise ClosureBlowup("lattice nodes", len(nodes), caps.lattice_build)
-    ordered = sorted(nodes, key=lambda s: (len(s), sorted(s)))
+    top = frozenset(range(L.size))
+    seeds = (S.as_set() if isinstance(S, SubLoop) else frozenset(S) for S in family)
+    grown = list(dict.fromkeys([frozenset({0}), top, *seeds]))
+    if len(grown) > caps.lattice_build:
+        raise ClosureBlowup("lattice nodes", caps.lattice_build + 1, caps.lattice_build)
+    seen = set(grown)
+    for k, a in enumerate(grown):  # each node meets every earlier one once
+        for b in grown[:k]:
+            c = a & b
+            if c not in seen:
+                seen.add(c)
+                grown.append(c)
+                if len(grown) > caps.lattice_build:
+                    raise ClosureBlowup("lattice nodes", len(grown), caps.lattice_build)
+    ordered = sorted(grown, key=lambda s: (len(s), sorted(s)))
     index = {s: i for i, s in enumerate(ordered)}
     n = len(ordered)
     meet = [[0] * n for _ in range(n)]
     join = [[0] * n for _ in range(n)]
     for i, a in enumerate(ordered):
-        for j, b in enumerate(ordered):
-            meet[i][j] = index[a & b]
+        for j, b in enumerate(ordered[i:], i):
             union = a | b
-            best = frozenset(range(L.size))
-            for c in ordered:
-                if union <= c and len(c) < len(best):
-                    best = c
-            join[i][j] = index[best]
+            meet[i][j] = meet[j][i] = index[a & b]
+            join[i][j] = join[j][i] = next(
+                (k for k in range(j, n) if union <= ordered[k]), index[top]
+            )
     return InclusionLattice(
         labels=L.labels,
         nodes=tuple(tuple(sorted(s)) for s in ordered),
@@ -122,15 +122,7 @@ def _is_sublattice(lat: InclusionLattice, subset: tuple[int, ...]) -> bool:
 
 def _shape(lat: InclusionLattice, subset: tuple[int, ...]) -> str | None:
     """Classify a 5-element sublattice as pentagon or diamond, else None."""
-    inside = list(subset)
-    bot = min(inside, key=lambda i: sum(lat.leq(j, i) for j in inside))
-    top = max(inside, key=lambda i: sum(lat.leq(j, i) for j in inside))
-    for i in inside:
-        if not (lat.leq(bot, i) and lat.leq(i, top)):
-            return None
-    mids = [i for i in inside if i != bot and i != top]
-    if len(mids) != 3:
-        return None
+    bot, *mids, top = subset  # node order puts the bottom first and the top last
     rel = [
         (a, b)
         for a in mids

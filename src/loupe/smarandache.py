@@ -529,9 +529,9 @@ def coset_cover_search(
     solutions: list[tuple[int, ...]] = []
 
     def extend(covered: frozenset[int], reps: tuple[int, ...]):
-        if len(solutions) >= caps.search:
-            raise SearchCapExceeded("coset covers", len(solutions) + 1, caps.search)
         if len(covered) == L.size:
+            if len(solutions) == caps.search:
+                raise SearchCapExceeded("coset covers", caps.search + 1, caps.search)
             solutions.append(tuple(sorted(reps)))
             return
         pivot = min(x for x in range(L.size) if x not in covered)

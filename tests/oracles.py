@@ -5,12 +5,17 @@ are formed afresh, associativity is a triple scan, division scans a row or a
 column, element orders are found by walking powers, isomorphisms are searched
 without invariant pruning, isotopes are revalidated, multiplication groups
 are closed by composing in Python, inner-mapping laws are scanned over every
-inner mapping and each law is decided by its own hand-written branch.
+inner mapping, each law is decided by its own hand-written branch, lattice
+joins and covers are found by rescanning every node, and enumerated colorings
+are filtered through their forced edge and revalidated.
 """
 
 from __future__ import annotations
 
 from itertools import combinations, permutations
+
+from loupe.coloring import Edge, _matchings
+from loupe.config import DEFAULT_CAPS, Caps
 
 from loupe.core import (
     FiniteLoop,
@@ -22,8 +27,9 @@ from loupe.core import (
     subloop_as_loop,
     validate_loop,
 )
-from loupe.errors import BadIndex, CapExceeded
+from loupe.errors import BadIndex, CapExceeded, ClosureBlowup, OddOrder, SizeCapExceeded
 from loupe.identities import Law, StrictForm, Verdict
+from loupe.lattice import InclusionLattice, _is_sublattice
 from loupe.smarandache import TripleLaw
 from loupe.substructures import SubloopCensus
 
@@ -460,6 +466,161 @@ def frattini_literal(L: FiniteLoop) -> SubLoop:
         ):
             non_gens.append(x)
     return certify_subloop(L, non_gens)
+
+
+def build_lattice_by_rescan(
+    L: FiniteLoop, family, caps: Caps = DEFAULT_CAPS
+) -> InclusionLattice:
+    """Close a family of subloops into a bounded inclusion lattice.
+
+    The node set is the family plus bottom {e} and top L, closed under
+    pairwise intersection; the join of two nodes is the intersection of all
+    their common upper bounds, which the meet closure guarantees is itself a
+    node.
+    """
+    nodes: set[frozenset[int]] = {frozenset({0}), frozenset(range(L.size))}
+    for S in family:
+        nodes.add(S.as_set() if isinstance(S, SubLoop) else frozenset(S))
+    changed = True
+    while changed:
+        changed = False
+        for a, b in combinations(sorted(nodes, key=sorted), 2):
+            cap_set = a & b
+            if cap_set not in nodes:
+                nodes.add(cap_set)
+                changed = True
+                if len(nodes) > caps.lattice_build:
+                    raise ClosureBlowup("lattice nodes", len(nodes), caps.lattice_build)
+    ordered = sorted(nodes, key=lambda s: (len(s), sorted(s)))
+    index = {s: i for i, s in enumerate(ordered)}
+    n = len(ordered)
+    meet = [[0] * n for _ in range(n)]
+    join = [[0] * n for _ in range(n)]
+    for i, a in enumerate(ordered):
+        for j, b in enumerate(ordered):
+            meet[i][j] = index[a & b]
+            union = a | b
+            best = frozenset(range(L.size))
+            for c in ordered:
+                if union <= c and len(c) < len(best):
+                    best = c
+            join[i][j] = index[best]
+    return InclusionLattice(
+        labels=L.labels,
+        nodes=tuple(tuple(sorted(s)) for s in ordered),
+        meet=tuple(tuple(r) for r in meet),
+        join=tuple(tuple(r) for r in join),
+    )
+
+
+def covers_by_scan(lat: InclusionLattice) -> list[tuple[int, int]]:
+    """Hasse edges (i, j) with i covered by j, in node order."""
+    out = []
+    for i in range(lat.size):
+        for j in range(lat.size):
+            if i == j or not lat.leq(i, j):
+                continue
+            if not any(
+                k != i and k != j and lat.leq(i, k) and lat.leq(k, j)
+                for k in range(lat.size)
+            ):
+                out.append((i, j))
+    return out
+
+
+def shape_by_counting(lat: InclusionLattice, subset: tuple[int, ...]) -> str | None:
+    """Classify a 5-element sublattice as pentagon or diamond, else None."""
+    inside = list(subset)
+    bot = min(inside, key=lambda i: sum(lat.leq(j, i) for j in inside))
+    top = max(inside, key=lambda i: sum(lat.leq(j, i) for j in inside))
+    for i in inside:
+        if not (lat.leq(bot, i) and lat.leq(i, top)):
+            return None
+    mids = [i for i in inside if i != bot and i != top]
+    if len(mids) != 3:
+        return None
+    rel = [
+        (a, b)
+        for a in mids
+        for b in mids
+        if a != b and lat.leq(a, b)
+    ]
+    for a, b in rel:
+        c = next(m for m in mids if m not in (a, b))
+        if (
+            lat.meet[a][c] == bot
+            and lat.meet[b][c] == bot
+            and lat.join[a][c] == top
+            and lat.join[b][c] == top
+        ):
+            return "pentagon"
+        return None
+    if all(
+        lat.meet[a][b] == bot and lat.join[a][b] == top
+        for a in mids
+        for b in mids
+        if a != b
+    ):
+        return "diamond"
+    return None
+
+
+def forbidden_sublattice_by_counting(lat: InclusionLattice, shape: str) -> tuple[int, ...] | None:
+    """First induced 5-element sublattice that ``shape_by_counting`` names ``shape``."""
+    for subset in combinations(range(lat.size), 5):
+        if _is_sublattice(lat, subset) and shape_by_counting(lat, subset) == shape:
+            return subset
+    return None
+
+
+def enumerate_involutory_right_alt_by_validation(
+    order: int, caps: Caps = DEFAULT_CAPS
+) -> list[FiniteLoop]:
+    """All loops of the given even order that are right alternative with x*x = e.
+
+    Backtracks over translation assignments: R_a must be a perfect matching
+    containing {0, a}, disjoint from the edges already used.  Each solution
+    is a distinct system of translations; loops come out in canonical table
+    order.
+    """
+    if order % 2 != 0 or order < 2:
+        raise OddOrder(f"order {order} is not even and positive")
+    if order > 8:
+        raise SizeCapExceeded("enumeration order", order, 8)
+    all_edges = [tuple(e) for e in combinations(range(order), 2)]
+    vertices = tuple(range(order))
+    solutions: list[FiniteLoop] = []
+    used: set[Edge] = set()
+    chosen: dict[int, tuple[Edge, ...]] = {}
+    nodes = 0
+
+    def place(a: int):
+        nonlocal nodes
+        if a == order:
+            table = [[0] * order for _ in range(order)]
+            for x in range(order):
+                table[x][0] = x
+            for elem, matching in chosen.items():
+                for u, v in matching:
+                    table[u][elem] = v
+                    table[v][elem] = u
+            solutions.append(validate_loop(table))
+            return
+        avail = [e for e in all_edges if e not in used]
+        for matching in _matchings(avail, vertices):
+            nodes += 1
+            if nodes > caps.color_search:
+                raise SizeCapExceeded("coloring search nodes", nodes, caps.color_search)
+            if (0, a) not in matching:
+                continue
+            chosen[a] = matching
+            used.update(matching)
+            place(a + 1)
+            used.difference_update(matching)
+            del chosen[a]
+
+    place(1)
+    return solutions
 
 
 def random_loop(rng, n: int, commutative: bool = False, involutory: bool = False) -> FiniteLoop:

@@ -22,6 +22,8 @@ from loupe.errors import (
 from loupe.identities import Law, check_law
 from loupe.smarandache import is_s_loop
 
+from oracles import enumerate_involutory_right_alt_by_validation
+
 
 def test_loop_to_coloring_reference():
     L = build_ln(5, 2)
@@ -96,6 +98,12 @@ def test_enumeration_roundtrips_through_colorings():
 def test_order8_counts_agree():
     loops = enumerate_involutory_right_alt(8)
     assert len(loops) == count_one_factorizations(8) == 6240
+
+
+@pytest.mark.parametrize("order", [2, 4, 6, 8])
+def test_enumeration_agrees_with_validating_oracle(order):
+    # same loops, tables, labels and order as filtering every matching and revalidating
+    assert enumerate_involutory_right_alt(order) == enumerate_involutory_right_alt_by_validation(order)
 
 
 def test_text_format_roundtrip():

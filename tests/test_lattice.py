@@ -1,6 +1,11 @@
 """Inclusion lattices: axioms, modularity, forbidden sublattices, DOT export."""
 
-from loupe import build_ln, cyclic_group, direct_product, symmetric_group
+import random
+
+import pytest
+
+from loupe import Caps, build_ln, cyclic_group, direct_product, symmetric_group
+from loupe.errors import ClosureBlowup
 from loupe.lattice import (
     build_lattice,
     check_distributive,
@@ -10,6 +15,13 @@ from loupe.lattice import (
     lattice_summary,
 )
 from loupe.substructures import all_subloops
+
+from oracles import (
+    build_lattice_by_rescan,
+    covers_by_scan,
+    forbidden_sublattice_by_counting,
+    random_loop,
+)
 
 
 def subloop_lattice(L):
@@ -135,3 +147,66 @@ def test_lattice_summary_roundtrip():
     assert summary["modular"] and summary["distributive"]
     assert summary["nodes"] == ["{e}", "{e,2}", "{e,1,2,3}"]
     assert summary["covers"] == [(0, 1), (1, 2)]
+
+
+def _lattice_families(corpus):
+    """(name, loop, family) over the memo corpus and random loops of order 1-9.
+
+    Families are the census, the subgroups, the normal subloops, random
+    sub-families of the census and raw element lists (subsets not closed
+    under the product, some missing the identity), each as a list; a raw
+    family is also handed over as a one-shot generator.
+    """
+    rng = random.Random(1967)
+    loops = list(corpus.items()) + [(f"random{i}", random_loop(rng, 1 + i % 9)) for i in range(36)]
+    for name, L in loops:
+        census = all_subloops(L)
+        yield name, L, census.subloops
+        yield name, L, census.subgroups()
+        yield name, L, census.normal_subloops()
+        for _ in range(3):
+            k = rng.randint(0, len(census.subloops))
+            yield name, L, rng.sample(census.subloops, k)
+        for _ in range(2):
+            yield name, L, [rng.sample(range(L.size), rng.randint(1, L.size)) for _ in range(4)]
+
+
+def test_build_lattice_and_covers_agree_with_rescan_oracle(corpus):
+    grown = 0
+    for name, L, family in _lattice_families(corpus):
+        lat = build_lattice(L, family)
+        assert lat == build_lattice_by_rescan(L, family), name
+        assert lat.covers() == covers_by_scan(lat), name
+        if family and isinstance(family[0], list):
+            assert build_lattice(L, (tuple(S) for S in family)) == lat, name
+        grown += lat.size > len(family) + 2
+    assert grown > 20  # many families were not closed under intersection
+
+
+def test_forbidden_sublattice_witnesses_agree_with_counting_oracle(corpus):
+    checked = 0
+    for name, L, family in _lattice_families(corpus):
+        lat = build_lattice(L, family)
+        if lat.size <= Caps().lattice_nodes:
+            checked += 1
+            for shape in ("pentagon", "diamond"):
+                expected = forbidden_sublattice_by_counting(lat, shape)
+                assert find_forbidden_sublattice(lat, shape) == expected, (name, shape)
+    assert checked > 300
+
+
+def test_lattice_build_cap_is_exact(corpus):
+    # a family already past the cap trips it, as does one that grows past it
+    L = build_ln(15, 8)
+    subgroups = all_subloops(L).subgroups()
+    assert build_lattice(L, subgroups, Caps(lattice_build=22)).size == 22
+    for cap in (1, 5, 21):
+        with pytest.raises(ClosureBlowup, match=rf"lattice nodes exceeded cap \({cap + 1} > {cap}\)"):
+            build_lattice(L, subgroups, Caps(lattice_build=cap))
+    for name, L, family in _lattice_families(corpus):
+        size = build_lattice(L, family).size
+        assert build_lattice(L, family, Caps(lattice_build=size)).size == size
+        if size == 1:
+            continue
+        with pytest.raises(ClosureBlowup, match=rf"\({size} > {size - 1}\)"):
+            build_lattice(L, family, Caps(lattice_build=size - 1))

@@ -3,6 +3,7 @@
 import pytest
 
 from loupe import (
+    Caps,
     LnParams,
     build_ln,
     certify_subloop,
@@ -12,7 +13,7 @@ from loupe import (
     h_subloop,
     symmetric_group,
 )
-from loupe.errors import NotASubgroup, NotPrime, QNotInSubloop
+from loupe.errors import NotASubgroup, NotPrime, QNotInSubloop, SearchCapExceeded
 from loupe.identities import Law
 from loupe.smarandache import (
     RelativeKind,
@@ -354,6 +355,15 @@ def test_coset_cover_search():
     L98 = build_ln(9, 8)
     B = certify_subloop(L98, [0, 1, 4, 7])
     assert coset_cover_search(L98, B, "right") == []
+
+
+def test_coset_cover_search_cap_is_exact():
+    # exactly two covers: a cap of two returns both, a cap of one trips on the second
+    L = build_ln(7, 3)
+    A = certify_subloop(L, [0, 2])
+    assert coset_cover_search(L, A, "right", Caps(search=2)) == [(0, 1, 5, 7), (0, 3, 4, 6)]
+    with pytest.raises(SearchCapExceeded, match=r"\(2 > 1\)"):
+        coset_cover_search(L, A, "right", Caps(search=1))
 
 
 def test_hyperloops_of_left_alternative_member():
