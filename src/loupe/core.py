@@ -8,8 +8,9 @@ function of them.  A ``FiniteLoop`` also memoises the derived data that
 many kernels share: its cyclic closures (``cyclic_closures``), its subloop
 census (``substructures.all_subloops``), the associativity verdict of each
 subset ``is_subgroup`` has decided (keyed by its element tuple, so each
-distinct subloop is checked once per loop), the per-element signatures
-``find_isomorphism`` prunes with and, under ``"inn"``, the order of the
+distinct subloop is checked once per loop; ``is_associative`` is the entry of
+the whole loop), the per-element signatures ``find_isomorphism`` prunes with
+and the generating set it maps (``"gens"``), under ``"inn"``, the order of the
 multiplication group with the sorted inner mapping group
 (``identities.inner_mapping_group``) and, under ``"div"``, the left and right
 division tables (``division``).  Every kernel that divides reads the same
@@ -185,10 +186,10 @@ def _identity_first(rows, labs, identity: int) -> FiniteLoop:
     if identity != 0:
         perm = list(range(size))
         perm[0], perm[identity] = identity, 0  # a transposition is its own inverse
-        rows = tuple(
-            tuple(perm[rows[perm[i]][perm[j]]] for j in range(size)) for i in range(size)
-        )
-        labs = tuple(labs[perm[i]] for i in range(size))
+        relabel = perm.__getitem__
+        # row i is row perm[i] with its columns permuted, then its entries relabelled
+        rows = tuple(tuple(map(relabel, map(rows[p].__getitem__, perm))) for p in perm)
+        labs = tuple(map(labs.__getitem__, perm))
     return FiniteLoop(size=size, table=rows, labels=labs)
 
 
@@ -461,57 +462,100 @@ def _element_signatures(L: FiniteLoop) -> list[tuple]:
     return sigs
 
 
+def _greedy_generators(L: FiniteLoop) -> tuple[int, ...]:
+    """A generating set of L, memoised: each element, in index order, joins if
+    the span so far misses it, so every element below a generator lies in the
+    span of the generators before it."""
+    gens = L._memo.get("gens")
+    if gens is None:
+        picked: list[int] = []
+        span = {0}
+        for x in range(1, L.size):
+            if x not in span:
+                picked.append(x)
+                span = set(_close(L, span, [x]).elements)
+        gens = L._memo["gens"] = tuple(picked)
+    return gens
+
+
 def find_isomorphism(L1: FiniteLoop, L2: FiniteLoop) -> IsoWitness | None:
     """Identity-preserving isomorphism search, smallest image lexicographically.
 
-    Backtracks over index order with element-signature pruning; returns the
-    first witness or None.
+    An isomorphism is fixed by where it sends a generating set, so only the
+    images of ``_greedy_generators(L1)`` are chosen: injectively, in ascending
+    order, each with the element signature of its generator.  Each choice
+    extends the map by products of already-mapped elements and is dropped at
+    the first product whose image clashes with a value already mapped, is
+    already taken or has another signature.  A complete map is accepted only
+    after a bijectivity check and a full-table homomorphism check.  Every
+    element below a generator is a product of earlier generators, so two maps
+    first differ at a generator and the first map accepted is the
+    lexicographically smallest.  Returns that witness or None.
     """
-    if L1.size != L2.size:
-        return None
     size = L1.size
+    if size != L2.size:
+        return None
     sig1 = _element_signatures(L1)
     sig2 = _element_signatures(L2)
     if sorted(sig1) != sorted(sig2):
         return None
+    gens = _greedy_generators(L1)
     t1, t2 = L1.table, L2.table
-    mapping = [-1] * size
+    f = [-1] * size
     used = [False] * size
-    mapping[0] = 0
+    f[0] = 0
     used[0] = True
+    mapped = [0]  # the subloop generated by the generators mapped so far
 
-    def consistent(x: int) -> bool:
-        fx = mapping[x]
-        for y in range(size):
-            fy = mapping[y]
-            if fy < 0:
-                continue
-            for a, b in ((x, y), (y, x)):
-                r = mapping[t1[a][b]]
-                if r >= 0 and r != t2[mapping[a]][mapping[b]]:
-                    return False
+    def undo(mark: int) -> None:
+        for v in mapped[mark:]:
+            used[f[v]] = False
+            f[v] = -1
+        del mapped[mark:]
+
+    def extend(g: int, u: int) -> bool:
+        """Send g to u and close the map under products; undo it on a clash."""
+        mark = len(mapped)
+        f[g] = u
+        used[u] = True
+        mapped.append(g)
+        k = mark
+        while k < len(mapped):
+            x = mapped[k]
+            k += 1
+            fx = f[x]
+            row1, row2 = t1[x], t2[fx]
+            # pair x with itself and all mapped before it; later elements meet x in their turn
+            for y in mapped[:k]:
+                fy = f[y]
+                for v, w in ((row1[y], row2[fy]), (t1[y][x], t2[fy][fx])):
+                    if f[v] < 0 and not used[w] and sig1[v] == sig2[w]:
+                        f[v] = w
+                        used[w] = True
+                        mapped.append(v)
+                    elif f[v] != w:
+                        undo(mark)
+                        return False
         return True
 
-    def extend(x: int) -> bool:
-        if x == size:
-            return all(
-                mapping[t1[a][b]] == t2[mapping[a]][mapping[b]]
-                for a in range(size)
-                for b in range(size)
+    def search(i: int) -> bool:
+        if i == len(gens):
+            return sorted(f) == list(range(size)) and all(
+                tuple(map(f.__getitem__, t1[x])) == tuple(map(t2[f[x]].__getitem__, f))
+                for x in range(size)
             )
+        g = gens[i]
+        mark = len(mapped)
         for u in range(size):
-            if used[u] or sig2[u] != sig1[x]:
+            if used[u] or sig2[u] != sig1[g] or not extend(g, u):
                 continue
-            mapping[x] = u
-            used[u] = True
-            if consistent(x) and extend(x + 1):
+            if search(i + 1):
                 return True
-            mapping[x] = -1
-            used[u] = False
+            undo(mark)
         return False
 
-    if extend(1):
-        return IsoWitness(tuple(mapping))
+    if search(0):
+        return IsoWitness(tuple(f))
     return None
 
 
@@ -563,7 +607,8 @@ def power_ambiguity(L: FiniteLoop, x: int) -> tuple[int, int, int] | None:
 
 
 def is_associative(L: FiniteLoop) -> bool:
-    return _associativity_failure(L.table, range(L.size)) is None
+    """``is_subgroup`` of the whole loop, so the verdict is memoised with the subgroup flags."""
+    return is_subgroup(L, SubLoop(tuple(range(L.size)), L.size))
 
 
 def compose(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:

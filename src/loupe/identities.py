@@ -18,6 +18,7 @@ from . import substructures
 from .config import DEFAULT_CAPS, Caps
 from .core import (
     FiniteLoop,
+    _associativity_failure,
     compose,
     cyclic_closures,
     division,
@@ -73,7 +74,8 @@ def _law(arity: int, holds) -> tuple:
     return ((arity, ((holds, ""),)),)
 
 
-# Each law is a row of passes (arity, checks[, pin]) that one scan decides in
+# Each law but associativity, which check_law decides by the scan is_subgroup
+# runs, is a row of passes (arity, checks[, pin]) that one scan decides in
 # order: the first tuple, lexicographically, to fail a check fails the law with
 # the detail of the first check it fails.  Predicates take the table t, the
 # left-division table ld (None unless the law is in _DIVIDING) and the tuple.
@@ -84,7 +86,6 @@ def _law(arity: int, holds) -> tuple:
 _INVERSES = (1, ((lambda t, ld, x: t[ld[x][0]][x] == 0, "no two-sided inverse"),))
 _LAWS = {
     Law.COMMUTATIVE: _law(2, _commutes),
-    Law.ASSOCIATIVE: _law(3, lambda t, ld, x, y, z: t[t[x][y]][z] == t[x][t[y][z]]),
     Law.MOUFANG1: _law(3, lambda t, ld, x, y, z: t[t[x][y]][t[z][x]] == t[t[x][t[y][z]]][x]),
     Law.MOUFANG2: _law(3, lambda t, ld, x, y, z: t[t[t[x][y]][z]][y] == t[x][t[y][t[z][y]]]),
     Law.MOUFANG3: _law(3, lambda t, ld, x, y, z: t[x][t[y][t[x][z]]] == t[t[t[x][y]][x]][z]),
@@ -122,6 +123,11 @@ _LAWS = {
     ),
 }
 _DIVIDING = {Law.BRUCK, Law.WIP, Law.SEMI_ALTERNATIVE, Law.IP}
+# the laws every group satisfies: each holds at once when L is known to be associative
+_GROUP_LAWS = {
+    Law.ASSOCIATIVE, Law.MOUFANG1, Law.MOUFANG2, Law.MOUFANG3, Law.BOL, Law.WIP,
+    Law.LEFT_ALTERNATIVE, Law.RIGHT_ALTERNATIVE, Law.FLEXIBLE, Law.SEMI_ALTERNATIVE, Law.IP,
+}
 
 
 def _first_failure(t, ld, size: int, arity: int, checks) -> tuple | None:
@@ -149,7 +155,20 @@ def _first_failure(t, ld, size: int, arity: int, checks) -> tuple | None:
 
 
 def check_law(L: FiniteLoop, law: Law) -> Verdict:
-    """Decide a quantified identity; first counterexample in lexicographic order."""
+    """Decide a quantified identity; first counterexample in lexicographic order.
+
+    Once the memoised ``is_subgroup`` verdict of the whole loop holds, every
+    law a group satisfies holds with no scan.  The associative law is decided
+    by the scan ``is_subgroup`` runs, and its verdict recorded there.  A
+    failing law is always scanned, so its witness is the first counterexample.
+    """
+    whole = tuple(range(L.size))
+    if law in _GROUP_LAWS and L._memo.get("subgroup", {}).get(whole):
+        return Verdict(True)
+    if law is Law.ASSOCIATIVE:
+        w = _associativity_failure(L.table, whole)
+        L._memo.setdefault("subgroup", {})[whole] = w is None
+        return Verdict(True) if w is None else Verdict(False, w)
     if law not in _LAWS:
         raise ValueError(f"unknown law {law}")
     t = L.table

@@ -2,7 +2,10 @@
 
 The (a, b)-isotope of a loop multiplies by x*y = X.Y where X.a = x and
 b.Y = y; its identity element is b.a.  A G-loop is isomorphic to every one
-of its principal isotopes.
+of its principal isotopes.  Groups and Moufang loops are G-loops (Bruck,
+*A Survey of Binary Systems*, 1958), so ``is_g_loop`` decides them from
+theory with no isotope built; any other loop is compared with each isotope
+by ``find_isomorphism``, which maps a generating set and extends by products.
 """
 
 from __future__ import annotations
@@ -14,11 +17,12 @@ from .core import (
     _identity_first,
     division,
     find_isomorphism,
+    is_associative,
     is_subgroup,
     subloop_as_loop,
 )
 from .errors import BadIndex, CapExceeded, NotAnSSubloop
-from .identities import Verdict
+from .identities import Law, Verdict, check_law
 from . import smarandache
 
 
@@ -39,13 +43,22 @@ def principal_isotope(L: FiniteLoop, a: int, b: int) -> FiniteLoop:
 
 
 def is_g_loop(L: FiniteLoop, cap: int = DEFAULT_CAPS.search) -> Verdict:
-    """Isomorphic to all of its principal isotopes; witness = first failing (a, b)."""
+    """Isomorphic to all of its principal isotopes; witness = first failing (a, b).
+
+    The cap on the n^2 isotope pairs is checked first, whatever the loop.
+    Groups and Moufang loops are G-loops (Bruck, 1958): L is one when the
+    memoised ``is_subgroup`` verdict of the whole loop holds, or when the
+    first Moufang law holds, since in a loop any one Moufang identity implies
+    the others.  Otherwise each isotope, in (a, b) order, goes to
+    ``find_isomorphism``, which maps one generating set of L.
+    """
     if L.size * L.size > cap:
         raise CapExceeded("isotope pairs", L.size * L.size, cap)
+    if is_associative(L) or check_law(L, Law.MOUFANG1):
+        return Verdict(True)
     for a in range(L.size):
         for b in range(L.size):
-            iso = principal_isotope(L, a, b)
-            if find_isomorphism(L, iso) is None:
+            if find_isomorphism(L, principal_isotope(L, a, b)) is None:
                 return Verdict(False, (a, b))
     return Verdict(True)
 

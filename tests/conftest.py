@@ -95,6 +95,24 @@ def l52xs3():
 
 
 @pytest.fixture(scope="session")
+def chein_s3():
+    """Chein's loop M(S_3, 2) of order 12: the pairs (g, s) of S_3 x {0, 1} under
+    (g,0)(h,0) = (gh,0), (g,0)(h,1) = (hg,1), (g,1)(h,0) = (gh^-1,1) and
+    (g,1)(h,1) = (h^-1 g,0).  It is the smallest Moufang loop that is not a group."""
+    G = symmetric_group(3)
+    t, n = G.table, G.size
+    inv = [row.index(0) for row in t]
+
+    def mul(x, y):
+        (g, s), (h, r) = divmod(x, 2), divmod(y, 2)
+        product = (t[g][h], t[h][g], t[g][inv[h]], t[inv[h]][g])[2 * s + r]
+        return 2 * product + (s ^ r)
+
+    labels = [f"({G.labels[g]},{s})" for g in range(n) for s in (0, 1)]
+    return validate_loop([[mul(x, y) for y in range(2 * n)] for x in range(2 * n)], labels)
+
+
+@pytest.fixture(scope="session")
 def corpus(noncomm5, cloop12, klein, l52xs3):
     """Named test corpus: family members, groups, products, reference tables."""
     loops = {

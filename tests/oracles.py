@@ -3,7 +3,9 @@
 Each oracle recomputes from the table alone, with no memoised data: closures
 are formed afresh, associativity is a triple scan, division scans a row or a
 column, element orders are found by walking powers, isomorphisms are searched
-without invariant pruning, isotopes are revalidated, multiplication groups
+without invariant pruning or by backtracking over every element rather than a
+generating set, G-loops are decided by searching every isotope with no
+shortcut from theory, isotopes are revalidated, multiplication groups
 are closed by composing in Python, inner-mapping laws are scanned over every
 inner mapping, each law is decided by its own hand-written branch, lattice
 joins and covers are found by rescanning every node, and enumerated colorings
@@ -29,6 +31,7 @@ from loupe.core import (
 )
 from loupe.errors import BadIndex, CapExceeded, ClosureBlowup, OddOrder, SizeCapExceeded
 from loupe.identities import Law, StrictForm, Verdict
+from loupe.isotopes import principal_isotope
 from loupe.lattice import InclusionLattice, _is_sublattice
 from loupe.smarandache import TripleLaw
 from loupe.substructures import SubloopCensus
@@ -151,6 +154,69 @@ def is_g_loop_by_isotopes(L: FiniteLoop) -> Verdict:
     for a in range(L.size):
         for b in range(L.size):
             if not is_isomorphic_by_search(L, principal_isotope_by_validation(L, a, b)):
+                return Verdict(False, (a, b))
+    return Verdict(True)
+
+
+def find_isomorphism_by_backtrack(L1: FiniteLoop, L2: FiniteLoop) -> tuple[int, ...] | None:
+    """Lexicographically smallest identity-preserving isomorphism: backtracking
+    over every element in index order, images pruned by freshly computed
+    signatures (|<x>|, x*x == e, centraliser size) and checked against every
+    mapped pair."""
+    size = L1.size
+    if size != L2.size:
+        return None
+
+    def signatures(L: FiniteLoop) -> list[tuple]:
+        t = L.table
+        return [
+            (generated_subloop(L, (x,)).order, t[x][x] == 0,
+             sum(t[x][y] == t[y][x] for y in range(size)))
+            for x in range(size)
+        ]
+
+    sig1, sig2 = signatures(L1), signatures(L2)
+    if sorted(sig1) != sorted(sig2):
+        return None
+    t1, t2 = L1.table, L2.table
+    mapping = [0] + [-1] * (size - 1)
+
+    def consistent(x: int) -> bool:
+        for y in range(size):
+            if mapping[y] >= 0:
+                for a, b in ((x, y), (y, x)):
+                    r = mapping[t1[a][b]]
+                    if r >= 0 and r != t2[mapping[a]][mapping[b]]:
+                        return False
+        return True
+
+    def extend(x: int) -> bool:
+        if x == size:
+            return all(
+                mapping[t1[a][b]] == t2[mapping[a]][mapping[b]]
+                for a in range(size)
+                for b in range(size)
+            )
+        for u in range(size):
+            if u in mapping or sig2[u] != sig1[x]:
+                continue
+            mapping[x] = u
+            if consistent(x) and extend(x + 1):
+                return True
+            mapping[x] = -1
+        return False
+
+    return tuple(mapping) if extend(1) else None
+
+
+def is_g_loop_by_backtrack(L: FiniteLoop, cap: int = DEFAULT_CAPS.search) -> Verdict:
+    """First principal isotope (a, b) that ``find_isomorphism_by_backtrack`` maps
+    nothing onto, with no theory shortcut."""
+    if L.size * L.size > cap:
+        raise CapExceeded("isotope pairs", L.size * L.size, cap)
+    for a in range(L.size):
+        for b in range(L.size):
+            if find_isomorphism_by_backtrack(L, principal_isotope(L, a, b)) is None:
                 return Verdict(False, (a, b))
     return Verdict(True)
 

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from loupe import build_ln
+from loupe import build_ln, cyclic_group, direct_product, symmetric_group
 from loupe.cli import load_loop, loop_from_json, loop_to_csv, loop_to_json, main
 from loupe.config import Caps
 
@@ -138,7 +138,15 @@ def test_isotope_command(capsys):
     assert code == 0
     code, out, _ = run(capsys, "isotope", "--ln", "5,2", "--g-check")
     assert code == 0
-    assert out.startswith("FAIL g-loop")
+    assert out == "FAIL g-loop witness=(1, 0)\n"
+
+
+def test_isotope_g_check_on_a_loaded_group(capsys, tmp_path):
+    path = tmp_path / "c3xs3.json"
+    path.write_text(json.dumps(loop_to_json(direct_product(cyclic_group(3), symmetric_group(3)))))
+    code, out, _ = run(capsys, "isotope", "--g-check", "--loop", str(path))
+    assert code == 0
+    assert out == "PASS g-loop\n"
 
 
 def test_hyperloop_command(capsys):

@@ -1,11 +1,23 @@
 """Principal isotopes, the G-loop decision, and subloop-level isotopes."""
 
+import dataclasses
+
 import pytest
 
-from loupe import build_ln, certify_subloop, cyclic_group, symmetric_group, validate_loop
-from loupe.errors import BadIndex
+from loupe import (
+    build_ln,
+    certify_subloop,
+    cyclic_group,
+    direct_product,
+    symmetric_group,
+    validate_loop,
+)
+from loupe.core import is_associative
+from loupe.errors import BadIndex, CapExceeded
 from loupe.identities import Law, StrictForm, check_law, check_strict
 from loupe.isotopes import is_g_loop, is_s_g_loop, principal_isotope, s_principal_isotope
+
+from oracles import is_g_loop_by_backtrack, is_g_loop_by_isotopes
 
 # (4, e)-isotope of the commutative order-6 member, written over the original
 # element order (identity sits at the original element 4)
@@ -67,6 +79,62 @@ def test_g_loop_decision():
     verdict = is_g_loop(build_ln(5, 2))
     assert not verdict.holds
     assert verdict.witness is not None
+
+
+def _product(*factors):
+    L = factors[0]
+    for M in factors[1:]:
+        L = direct_product(L, M)
+    return L
+
+
+@pytest.mark.parametrize("name", ["C3xS3", "C2_4", "L5_2xC2_2"])
+def test_g_loop_agrees_with_backtracking_oracle(name):
+    C2, C3, S3 = cyclic_group(2), cyclic_group(3), symmetric_group(3)
+    L = {
+        "C3xS3": _product(C3, S3),
+        "C2_4": _product(C2, C2, C2, C2),
+        "L5_2xC2_2": _product(build_ln(5, 2), C2, C2),
+    }[name]
+    expected = is_g_loop_by_backtrack(L)
+    assert expected.holds == (name != "L5_2xC2_2")
+    for _ in range(2):  # the second round reads the memo
+        assert is_g_loop(L) == expected
+
+
+def test_non_associative_moufang_loop_is_a_g_loop(chein_s3):
+    L = dataclasses.replace(chein_s3)
+    assert not is_associative(L)
+    assert all(check_law(L, law).holds for law in (Law.MOUFANG1, Law.MOUFANG2, Law.MOUFANG3))
+    expected = is_g_loop_by_backtrack(L)
+    assert expected.holds
+    assert is_g_loop(dataclasses.replace(chein_s3)) == expected
+
+
+# A non-associative, non-Moufang loop of order 6 that is still a G-loop (found by
+# random search): is_g_loop can only decide it by testing every isotope.
+G_LOOP_6_TABLE = [
+    [0, 1, 2, 3, 4, 5],
+    [1, 3, 5, 2, 0, 4],
+    [2, 0, 3, 4, 5, 1],
+    [3, 4, 1, 5, 2, 0],
+    [4, 5, 0, 1, 3, 2],
+    [5, 2, 4, 0, 1, 3],
+]
+
+
+def test_g_loop_outside_theory_agrees_with_oracles():
+    L = validate_loop(G_LOOP_6_TABLE)
+    assert not is_associative(L) and not check_law(L, Law.MOUFANG1).holds
+    expected = is_g_loop_by_backtrack(L)
+    assert expected.holds
+    assert is_g_loop(validate_loop(G_LOOP_6_TABLE)) == expected == is_g_loop_by_isotopes(L)
+
+
+def test_g_loop_cap_comes_before_theory():
+    with pytest.raises(CapExceeded):
+        is_g_loop(symmetric_group(4), cap=575)
+    assert is_g_loop(symmetric_group(4), cap=576).holds
 
 
 def test_family_members_are_not_g_loops():

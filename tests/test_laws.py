@@ -8,7 +8,7 @@ from itertools import product
 
 import pytest
 
-from loupe import cyclic_group, direct_product, symmetric_group
+from loupe import build_ln, cyclic_group, direct_product, symmetric_group
 from loupe.core import (
     associator,
     commutator,
@@ -17,9 +17,10 @@ from loupe.core import (
     right_divide,
     two_sided_inverse,
 )
-from loupe.identities import Law, StrictForm, check_law, check_strict
+from loupe.identities import _GROUP_LAWS, Law, StrictForm, check_law, check_strict
 from loupe.isotopes import principal_isotope
 from loupe.smarandache import TripleLaw, special_triple
+from loupe.substructures import all_subloops
 
 from oracles import (
     associator_by_scan,
@@ -121,6 +122,45 @@ def test_laws_and_strict_forms_agree_with_branches(loops):
                 assert check_law(fresh, law) == expected[law], (name, law)
             for form in StrictForm:
                 assert check_strict(fresh, form) == strict[form], (name, form)
+
+
+def _group_loops():
+    """The products of the group-report benchmark workload, and S_4."""
+    C2, C3, S3, S4 = cyclic_group(2), cyclic_group(3), symmetric_group(3), symmetric_group(4)
+    factors = {
+        "S4xC2": (S4, C2),
+        "S4": (S4,),
+        "S3xS3": (S3, S3),
+        "C2_4": (C2, C2, C2, C2),
+        "C2_2xS3": (C2, C2, S3),
+        "C3xS3": (C3, S3),
+        "L5_2xS3": (build_ln(5, 2), S3),
+        "L5_2xC2_2": (build_ln(5, 2), C2, C2),
+    }
+    loops = []
+    for name, (L, *rest) in factors.items():
+        for M in rest:
+            L = direct_product(L, M)
+        loops.append((name, L))
+    return loops
+
+
+def test_group_laws_read_the_associativity_memo(corpus, chein_s3):
+    loops = list(corpus.items()) + [("chein_s3", chein_s3)] + _group_loops()
+    for name, L in loops:
+        expected = {law: check_law_by_branches(L, law) for law in Law}
+        group = expected[Law.ASSOCIATIVE].holds
+        for law in Law:  # each law scanned on a copy with an empty memo
+            assert check_law(dataclasses.replace(L), law) == expected[law], (name, law)
+        # the census, or the associative law itself, records the verdict of the whole loop
+        for warm in (all_subloops, lambda M: check_law(M, Law.ASSOCIATIVE)):
+            fresh = dataclasses.replace(L)
+            warm(fresh)
+            for law in Law:
+                assert check_law(fresh, law) == expected[law], (name, law)
+            assert fresh._memo["subgroup"][tuple(range(fresh.size))] == group, name
+        if group:
+            assert all(expected[law].holds for law in _GROUP_LAWS), name
 
 
 def test_special_triples_agree_with_formulas(loops):

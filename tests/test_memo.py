@@ -7,19 +7,29 @@ import random
 import pytest
 
 from loupe import Caps, build_ln
-from loupe.core import division, element_order, find_isomorphism, is_cyclic_group
+from loupe.core import (
+    _greedy_generators,
+    division,
+    element_order,
+    find_isomorphism,
+    generated_subloop,
+    is_cyclic_group,
+    validate_loop,
+)
 from loupe.errors import CapExceeded
 from loupe.identities import is_diassociative
-from loupe.isotopes import is_g_loop
+from loupe.isotopes import is_g_loop, principal_isotope
 from loupe.smarandache import is_s_loop
 from loupe.substructures import all_subloops
 
 from oracles import (
     census_by_extension,
     element_order_by_powers,
+    find_isomorphism_by_backtrack,
     is_cyclic_group_by_powers,
     is_diassociative_by_pairs,
     is_g_loop_by_isotopes,
+    is_isomorphic_by_search,
     is_s_loop_by_closures,
     random_loop,
 )
@@ -54,7 +64,7 @@ def test_memo_is_ignored_by_equality_hashing_and_replace():
     find_isomorphism(warm, warm)
     division(warm)
     cold = dataclasses.replace(warm)
-    assert set(warm._memo) == {"census", "cyclic", "subgroup", "signatures", "div"}
+    assert set(warm._memo) == {"census", "cyclic", "subgroup", "signatures", "gens", "div"}
     assert not cold._memo
     assert warm == cold
     assert hash(warm) == hash(cold)
@@ -107,3 +117,47 @@ def test_diassociativity_and_g_loop_agree_with_oracles(corpus):
             expected = is_g_loop_by_isotopes(L)
             for _ in range(2):
                 assert is_g_loop(fresh) == expected, name
+
+
+def _relabelled(L, rng):
+    """L carried by a random bijection fixing e: isomorphic to L by construction."""
+    p = [0] + rng.sample(range(1, L.size), L.size - 1)
+    inv = sorted(range(L.size), key=p.__getitem__)
+    n = L.size
+    return validate_loop([[p[L.table[inv[i]][inv[j]]] for j in range(n)] for i in range(n)])
+
+
+def _isomorphism(L1, L2):
+    """find_isomorphism's witness, checked to be the smallest one the backtracking oracle finds."""
+    assert generated_subloop(L1, _greedy_generators(L1)).order == L1.size
+    witness = find_isomorphism(L1, L2)
+    mapping = None if witness is None else witness.mapping
+    assert mapping == find_isomorphism_by_backtrack(L1, L2), (L1.table, L2.table)
+    return mapping is not None
+
+
+def test_find_isomorphism_agrees_with_unpruned_search(corpus):
+    rng = random.Random(2003)
+    loops = [L for _, L in _differential_loops(corpus) if L.size <= 9]
+    checked = set()
+    for i, L in enumerate(loops):
+        for M in loops[i:] + [_relabelled(L, rng)]:
+            if M.size == L.size:
+                expected = is_isomorphic_by_search(L, M)
+                checked.add(expected)
+                assert _isomorphism(L, M) == expected == _isomorphism(M, L), (L.table, M.table)
+    assert checked == {False, True}
+
+
+def test_find_isomorphism_agrees_on_every_isotope(corpus):
+    verdicts = set()
+    for name, L in _differential_loops(corpus):
+        if L.size > 8:
+            continue
+        for a in range(L.size):
+            for b in range(L.size):
+                iso = principal_isotope(L, a, b)
+                expected = is_isomorphic_by_search(L, iso)
+                verdicts.add(expected)
+                assert _isomorphism(L, iso) == expected, (name, a, b)
+    assert verdicts == {False, True}
