@@ -3,7 +3,8 @@
 
 For each even order in --orders, enumerate every loop of that order that is
 right alternative with x*x = e, count proper (2n-1)-edge-colorings of K_2n
-by an independent matching backtracker, and confirm the two numbers agree.
+by a separate backtracker that counts edge sets without building loops, and
+confirm the two numbers agree.
 
 Usage: python scripts/census_colorings.py [--orders 4 6 8]
 """

@@ -199,15 +199,15 @@ def count_one_factorizations(n_vertices: int) -> int:
     """Count the partitions of K_n's edges into perfect matchings.
 
     Shares the matching generator ``_matchings`` with the loop enumeration
-    above, but not its search: this backtracker anchors the smallest
-    uncovered edge, filters every matching of the remaining edges through
-    it and counts edge sets without building loops.  The cross-check
-    therefore compares two different partitions of the search space, not
-    one search run twice.
+    above, but keeps its own bookkeeping: this backtracker anchors the
+    smallest uncovered edge, read off the set of remaining edges, matches
+    only the remaining edges that avoid both of its ends, and counts edge
+    sets without building loops.  That anchor is always an edge {0, k}, so
+    the matchings visited are the enumerator's; what the cross-check compares
+    is the bookkeeping, not the partition of the search.
     """
     if n_vertices % 2 != 0:
         raise OddOrder(f"{n_vertices} vertices admit no perfect matching")
-    edges = [tuple(e) for e in combinations(range(n_vertices), 2)]
     vertices = tuple(range(n_vertices))
     count = 0
 
@@ -216,13 +216,14 @@ def count_one_factorizations(n_vertices: int) -> int:
         if not remaining:
             count += 1
             return
-        anchor = min(remaining)
-        avail = sorted(remaining)
-        for matching in _matchings(avail, vertices):
-            if anchor in matching:
-                rec(remaining - set(matching))
+        anchor = u, v = min(remaining)
+        # every matching through the anchor is the anchor plus a matching of the other vertices
+        rest_v = tuple(w for w in vertices if w != u and w != v)
+        avail = sorted(e for e in remaining if u not in e and v not in e)
+        for tail in _matchings(avail, rest_v):
+            rec(remaining.difference(tail, (anchor,)))
 
-    rec(frozenset(edges))
+    rec(frozenset(combinations(vertices, 2)))
     return count
 
 

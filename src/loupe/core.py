@@ -18,6 +18,12 @@ division tables (``division``).  Every kernel that divides reads the same
 quotients.  Each memo write stores the one value its key can have, so
 concurrent use over shared loops is safe: at worst two callers compute the
 same entry twice.
+
+Flags are inherited from the whole loop: in a group every subloop is a
+subgroup and normality conditions 2 and 3 are identities, so once the memoised
+``is_associative`` verdict holds, ``is_subgroup`` records each subloop as a
+subgroup with no scan and ``normality_witness`` stops after condition 1.  The
+census decides that verdict before any flag.
 """
 
 from __future__ import annotations
@@ -301,11 +307,16 @@ def subloop_as_loop(L: FiniteLoop, S: SubLoop) -> FiniteLoop:
 
 
 def is_subgroup(L: FiniteLoop, S: SubLoop) -> bool:
-    """True iff the product restricted to S is associative; memoised on L by element tuple."""
+    """True iff the product restricted to S is associative; memoised on L by element tuple.
+
+    A subloop of a group is a group: once the entry of the whole loop holds,
+    S is recorded as a subgroup with no scan.
+    """
     flags = L._memo.setdefault("subgroup", {})
     flag = flags.get(S.elements)
     if flag is None:
-        flag = flags[S.elements] = _associativity_failure(L.table, S.elements) is None
+        whole = flags.get(tuple(range(L.size)))
+        flag = flags[S.elements] = whole or _associativity_failure(L.table, S.elements) is None
     return flag
 
 
@@ -334,24 +345,34 @@ def normality_witness(L: FiniteLoop, H: SubLoop) -> tuple[int, int, int | None] 
     """First violated normality condition for H, or None when H is normal.
 
     Conditions, in order: (1) xH = Hx, (2) (Hx)y = H(xy), (3) y(xH) = (yx)H.
-    The trivial subloop and L itself are normal without a scan.
+    The trivial subloop and L itself are normal without a scan.  In a group
+    conditions 2 and 3 are identities, so once condition 1 holds the memoised
+    ``is_associative`` verdict settles them.  Otherwise each product is
+    compared with a coset from one list built by condition 1: once xH = Hx
+    for every x, ``cosets[z]`` is both zH and Hz.
     """
     t = L.table
     hs = H.elements
     if len(hs) in (1, L.size):
         return None
+    cosets = []
     for x in range(L.size):
-        if {t[x][h] for h in hs} != {t[h][x] for h in hs}:
+        xh = {t[x][h] for h in hs}
+        if xh != {t[h][x] for h in hs}:
             return (1, x, None)
+        cosets.append(xh)
+    if is_associative(L):
+        return None
     for x in range(L.size):
-        hx = [t[h][x] for h in hs]
+        hx, row = cosets[x], t[x]
         for y in range(L.size):
-            if {t[v][y] for v in hx} != {t[h][t[x][y]] for h in hs}:
+            if {t[v][y] for v in hx} != cosets[row[y]]:
                 return (2, x, y)
     for x in range(L.size):
-        xh = [t[x][h] for h in hs]
+        xh = cosets[x]
         for y in range(L.size):
-            if {t[y][v] for v in xh} != {t[t[y][x]][h] for h in hs}:
+            row = t[y]
+            if {row[v] for v in xh} != cosets[row[x]]:
                 return (3, x, y)
     return None
 

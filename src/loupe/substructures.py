@@ -53,12 +53,17 @@ def _canonical(subs) -> list[SubLoop]:
 def all_subloops(L: FiniteLoop, caps: Caps = DEFAULT_CAPS) -> SubloopCensus:
     """Fixpoint enumeration of all subloops of L, memoised on L.
 
-    The caps apply on every call, memoised or not.
+    The associativity of L is decided before anything else, so in a group
+    every subgroup flag, and normality conditions 2 and 3, follow from that
+    one scan (see ``is_subgroup`` and ``normality_witness``).  The caps apply
+    on every call, memoised or not.
     """
     if L.size > caps.census_order:
         raise CapExceeded("census order", L.size, caps.census_order)
     census = L._memo.get("census")
     if census is None:
+        # decided first: in a group every flag below then follows without a scan
+        is_associative(L)
         found: dict[frozenset[int], SubLoop] = {}
         stack: list[SubLoop] = []
         for S, _ in cyclic_closures(L):

@@ -8,8 +8,9 @@ generating set, G-loops are decided by searching every isotope with no
 shortcut from theory, isotopes are revalidated, multiplication groups
 are closed by composing in Python, inner-mapping laws are scanned over every
 inner mapping, each law is decided by its own hand-written branch, lattice
-joins and covers are found by rescanning every node, and enumerated colorings
-are filtered through their forced edge and revalidated.
+joins and covers are found by rescanning every node, enumerated colorings are
+filtered through their forced edge and revalidated, and one-factorizations are
+counted by filtering every matching through its anchor edge.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from loupe.core import (
     certify_subloop,
     compose,
     generated_subloop,
-    normality_witness,
     subloop_as_loop,
     validate_loop,
 )
@@ -92,7 +92,7 @@ def census_by_extension(L: FiniteLoop) -> SubloopCensus:
     return SubloopCensus(
         subloops=tuple(subs),
         subgroup_flags=tuple(is_associative_by_triples(L, s.elements) for s in subs),
-        normal_flags=tuple(normality_witness(L, s) is None for s in subs),
+        normal_flags=tuple(normality_witness_by_scan(L, s) is None for s in subs),
     )
 
 
@@ -687,6 +687,31 @@ def enumerate_involutory_right_alt_by_validation(
 
     place(1)
     return solutions
+
+
+def count_one_factorizations_by_filter(n_vertices: int) -> int:
+    """Partitions of K_n's edges into perfect matchings: anchor the smallest
+    uncovered edge, generate every matching of the remaining edges and keep
+    those through the anchor."""
+    if n_vertices % 2 != 0:
+        raise OddOrder(f"{n_vertices} vertices admit no perfect matching")
+    edges = [tuple(e) for e in combinations(range(n_vertices), 2)]
+    vertices = tuple(range(n_vertices))
+    count = 0
+
+    def rec(remaining: frozenset[Edge]):
+        nonlocal count
+        if not remaining:
+            count += 1
+            return
+        anchor = min(remaining)
+        avail = sorted(remaining)
+        for matching in _matchings(avail, vertices):
+            if anchor in matching:
+                rec(remaining - set(matching))
+
+    rec(frozenset(edges))
+    return count
 
 
 def random_loop(rng, n: int, commutative: bool = False, involutory: bool = False) -> FiniteLoop:

@@ -22,7 +22,10 @@ from loupe.errors import (
 from loupe.identities import Law, check_law
 from loupe.smarandache import is_s_loop
 
-from oracles import enumerate_involutory_right_alt_by_validation
+from oracles import (
+    count_one_factorizations_by_filter,
+    enumerate_involutory_right_alt_by_validation,
+)
 
 
 def test_loop_to_coloring_reference():
@@ -104,6 +107,16 @@ def test_order8_counts_agree():
 def test_enumeration_agrees_with_validating_oracle(order):
     # same loops, tables, labels and order as filtering every matching and revalidating
     assert enumerate_involutory_right_alt(order) == enumerate_involutory_right_alt_by_validation(order)
+
+
+@pytest.mark.parametrize("n_vertices", [2, 4, 6, 8])
+def test_counter_agrees_with_filtering_oracle(n_vertices):
+    # matching only the edges off the anchor counts what filtering every matching counts
+    expected = {2: 1, 4: 1, 6: 6, 8: 6240}[n_vertices]
+    count = count_one_factorizations(n_vertices)
+    assert count == count_one_factorizations_by_filter(n_vertices) == expected
+    with pytest.raises(OddOrder):
+        count_one_factorizations(n_vertices + 1)
 
 
 def test_text_format_roundtrip():

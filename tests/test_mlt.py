@@ -2,12 +2,13 @@
 the memoised inner mapping group, A-loop and ARIF verdicts decided from
 Bruck's generators of Inn, and the trimmed normality scan."""
 
+import collections
 import dataclasses
 import random
 
 import pytest
 
-from loupe import build_ln, cyclic_group, direct_product, symmetric_group
+from loupe import build_ln, cyclic_group, direct_product, symmetric_group, validate_loop
 from loupe.coloring import enumerate_involutory_right_alt
 from loupe.core import compose, normality_witness
 from loupe.errors import CapExceeded, NotIPLoop
@@ -179,9 +180,47 @@ def test_inn_memo_is_ignored_by_equality_hashing_and_replace(L, mlt, inn):
     assert repr(warm) == repr(cold)
 
 
-def test_trimmed_normality_witness_agrees_with_full_scan(corpus):
+# An order-8 loop whose subloop {e, 1} passes normality conditions 1 and 2 and
+# fails condition 3: the block of v*y among the cosets {2i, 2i+1} depends only
+# on the block of v, the block of y*v does not.  Its transpose fails condition
+# 2 instead.  Neither the 60 random loops below nor their transposes have such
+# a subloop, and an exhaustive search of the 9,408 loops of order 6 found none.
+KIND3_8_TABLE = [
+    [0, 1, 2, 3, 4, 5, 6, 7],
+    [1, 0, 3, 2, 5, 4, 7, 6],
+    [2, 3, 4, 0, 6, 7, 5, 1],
+    [3, 2, 5, 1, 7, 6, 4, 0],
+    [4, 5, 6, 7, 2, 1, 0, 3],
+    [5, 4, 7, 6, 3, 0, 1, 2],
+    [6, 7, 1, 5, 0, 3, 2, 4],
+    [7, 6, 0, 4, 1, 2, 3, 5],
+]
+
+
+def test_trimmed_normality_witness_agrees_with_full_scan(corpus, klein):
+    """Cold (fresh memo, no census) and warm (after the census) on the corpus,
+    five more products, 60 random loops of order 4-9 and the order-8 loop
+    above, these last 61 each with its transpose."""
+    s3 = symmetric_group(3)
+    loops = list(corpus.items()) + [
+        ("S4", symmetric_group(4)),
+        ("C2^4", direct_product(klein, klein)),
+        ("S3xS3", direct_product(s3, s3)),
+        ("C2^2xS3", direct_product(klein, s3)),
+        ("L5(2)xC2^2", direct_product(build_ln(5, 2), klein)),
+    ]
     rng = random.Random(2003)
-    loops = list(corpus.items()) + [(f"random{i}", random_loop(rng, 4 + i % 5)) for i in range(20)]
-    for name, L in loops:
-        for S in all_subloops(L).subloops:
-            assert normality_witness(L, S) == normality_witness_by_scan(L, S), (name, S)
+    randoms = [(f"random{i}", random_loop(rng, 4 + i % 6)) for i in range(60)]
+    randoms.append(("kind3", validate_loop(KIND3_8_TABLE)))
+    randoms += [(name + "^T", validate_loop(list(zip(*L.table)))) for name, L in randoms]
+    kinds = collections.Counter()
+    for name, L in loops + randoms:
+        cold, warm = dataclasses.replace(L), dataclasses.replace(L)
+        for S in all_subloops(warm).subloops:
+            expected = normality_witness_by_scan(L, S)
+            assert normality_witness(cold, S) == expected, (name, S)
+            assert normality_witness(warm, S) == expected, (name, S)
+            if expected is not None:
+                kinds[expected[0]] += 1
+        assert "census" not in cold._memo, name
+    assert set(kinds) == {1, 2, 3}, kinds

@@ -1,5 +1,7 @@
 """Census completeness, nuclei, centres, derived subloops and normalizers."""
 
+import dataclasses
+
 import pytest
 
 from loupe import (
@@ -11,6 +13,7 @@ from loupe import (
     direct_product,
     symmetric_group,
 )
+from loupe import core
 from loupe.errors import CapExceeded
 from loupe.config import Caps
 from loupe.substructures import (
@@ -31,7 +34,7 @@ from loupe.substructures import (
     second_normalizer,
 )
 
-from oracles import frattini_literal
+from oracles import frattini_literal, is_associative_by_triples
 
 
 def test_census_of_reference_loops():
@@ -74,6 +77,37 @@ def test_flags_reverify():
     for S, grp, nrm in zip(census.subloops, census.subgroup_flags, census.normal_flags):
         assert grp == is_subgroup(L, S)
         assert nrm == (normality_witness(L, S) is None)
+
+
+def test_group_census_flags_follow_from_one_associativity_scan(corpus, klein, monkeypatch):
+    s3 = symmetric_group(3)
+    groups = {
+        "S4": symmetric_group(4),
+        "C2^4": direct_product(klein, klein),
+        "S3xS3": direct_product(s3, s3),
+        "C2^2xS3": direct_product(klein, s3),
+    }
+    scan = core._associativity_failure
+    calls = []
+
+    def counted(t, elems):
+        calls.append(len(elems))
+        return scan(t, elems)
+
+    monkeypatch.setattr(core, "_associativity_failure", counted)
+    named = list(groups.items()) + [
+        (name, L) for name, L in corpus.items() if is_associative_by_triples(L, L.elements())
+    ]
+    assert len(named) == 12
+    for name, G in named:
+        G = dataclasses.replace(G)
+        calls.clear()
+        census = all_subloops(G)
+        assert calls == [G.size], name
+        assert census.subgroup_flags == tuple(
+            is_associative_by_triples(G, S.elements) for S in census.subloops
+        ), name
+        assert all(census.subgroup_flags), name
 
 
 def test_normality():
