@@ -1,14 +1,19 @@
 """Decision procedures for quantified loop identities and structural properties.
 
-Each universally quantified law is decided by exhaustive scan over tuples of
-the law's arity; a failing Verdict carries the first counterexample in
-lexicographic order, and re-evaluating that witness through the table must
-reproduce the violation.
+Every law, strict form and special identity is a row of passes that one
+driver, ``_first_failure``, decides by exhaustive scan over tuples of the
+pass's arity drawn from a domain; a failing Verdict carries the first
+counterexample in lexicographic order, and re-evaluating that witness through
+the table must reproduce the violation.  An existential property (a CA-loop
+element, an associative triple) is the first failure of its negation.
+Semi-right commutativity needs no scan: it holds in every loop by right
+division.
 """
 
 from __future__ import annotations
 
 import enum
+from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, combinations
 from math import comb
@@ -18,7 +23,7 @@ from . import substructures
 from .config import DEFAULT_CAPS, Caps
 from .core import (
     FiniteLoop,
-    _associativity_failure,
+    associativity_failure,
     compose,
     cyclic_closures,
     division,
@@ -26,9 +31,11 @@ from .core import (
     is_commutative_subset,
     is_cyclic_group,
     is_subgroup,
+    known_associative,
     two_sided_inverse,
 )
 from .errors import CapExceeded, NotIPLoop, SizeCapExceeded
+from .substructures import _pseudo_associates
 
 
 @dataclass(frozen=True)
@@ -69,15 +76,15 @@ def _commutes(t, ld, x, y) -> bool:
     return t[x][y] == t[y][x]
 
 
-def _law(arity: int, holds) -> tuple:
-    """The row of a law decided by one check with no detail."""
-    return ((arity, ((holds, ""),)),)
+def _law(arity: int, holds, detail: str = "", *pin) -> tuple:
+    """The row of a law decided by one check, with its detail and optional pin."""
+    return ((arity, ((holds, detail),), *pin),)
 
 
-# Each law but associativity, which check_law decides by the scan is_subgroup
-# runs, is a row of passes (arity, checks[, pin]) that one scan decides in
-# order: the first tuple, lexicographically, to fail a check fails the law with
-# the detail of the first check it fails.  Predicates take the table t, the
+# Each law but associativity, which check_law decides by associativity_failure,
+# is a row of passes (arity, checks[, pin]) that one scan decides in order: the
+# first tuple, lexicographically, to fail a check fails the law with the
+# detail of the first check it fails.  Predicates take the table t, the
 # left-division table ld (None unless the law is in _DIVIDING) and the tuple.
 # A pin completes a pair witness with the z the law fixes: WIP's (xy)z = e pins
 # z per (x, y), so its pair scan meets the first violating triple in cubic-scan
@@ -97,10 +104,8 @@ _LAWS = {
         (3, ((lambda t, ld, x, y, z: t[t[x][t[y][x]]][z] == t[x][t[y][t[x][z]]],
               "x(yx)z = x(y(xz)) fails"),)),
     ),
-    Law.WIP: (
-        (2, ((lambda t, ld, x, y: t[x][t[y][ld[t[x][y]][0]]] == 0, ""),),
-         lambda t, ld, x, y: ld[t[x][y]][0]),
-    ),
+    Law.WIP: _law(2, lambda t, ld, x, y: t[x][t[y][ld[t[x][y]][0]]] == 0, "",
+                  lambda t, ld, x, y: ld[t[x][y]][0]),
     Law.LEFT_ALTERNATIVE: _law(2, lambda t, ld, x, y: t[t[x][x]][y] == t[x][t[x][y]]),
     Law.RIGHT_ALTERNATIVE: _law(2, lambda t, ld, x, y: t[t[x][y]][y] == t[x][t[y][y]]),
     Law.FLEXIBLE: _law(2, lambda t, ld, x, y: t[t[x][y]][x] == t[x][t[y][x]]),
@@ -130,55 +135,58 @@ _GROUP_LAWS = {
 }
 
 
-def _first_failure(t, ld, size: int, arity: int, checks) -> tuple | None:
-    """First tuple of ``arity`` elements, in lexicographic order, failing one of ``checks``."""
+def _first_failure(t, ld, domain, arity: int, checks) -> tuple | None:
+    """First ``arity``-tuple over ``domain``, in lexicographic order, failing one of ``checks``."""
     holds = checks[0][0]
     if len(checks) > 1:
         holds = lambda *w: all(p(*w) for p, _ in checks)
-    r = range(size)
     if arity == 1:
-        for x in r:
+        for x in domain:
             if not holds(t, ld, x):
                 return (x,)
     elif arity == 2:
-        for x in r:
-            for y in r:
+        for x in domain:
+            for y in domain:
                 if not holds(t, ld, x, y):
                     return (x, y)
     else:
-        for x in r:
-            for y in r:
-                for z in r:
+        for x in domain:
+            for y in domain:
+                for z in domain:
                     if not holds(t, ld, x, y, z):
                         return (x, y, z)
     return None
 
 
+def _decide(t, ld, rows, domain) -> Verdict:
+    """Verdict of a row over ``domain``: the first failure of its first failing pass."""
+    for arity, checks, *pin in rows:
+        w = _first_failure(t, ld, domain, arity, checks)
+        if w is not None:
+            # a lone check is not run again: its predicate may close a subloop
+            detail = checks[0][1] if len(checks) == 1 else next(
+                d for p, d in checks if not p(t, ld, *w))
+            return Verdict(False, w + tuple(f(t, ld, *w) for f in pin), detail)
+    return Verdict(True)
+
+
 def check_law(L: FiniteLoop, law: Law) -> Verdict:
     """Decide a quantified identity; first counterexample in lexicographic order.
 
-    Once the memoised ``is_subgroup`` verdict of the whole loop holds, every
+    Once the whole loop is known to be a group (``known_associative``), every
     law a group satisfies holds with no scan.  The associative law is decided
-    by the scan ``is_subgroup`` runs, and its verdict recorded there.  A
-    failing law is always scanned, so its witness is the first counterexample.
+    by ``associativity_failure``, which records that verdict.  A failing law
+    is always scanned, so its witness is the first counterexample.
     """
-    whole = tuple(range(L.size))
-    if law in _GROUP_LAWS and L._memo.get("subgroup", {}).get(whole):
+    if law in _GROUP_LAWS and known_associative(L):
         return Verdict(True)
     if law is Law.ASSOCIATIVE:
-        w = _associativity_failure(L.table, whole)
-        L._memo.setdefault("subgroup", {})[whole] = w is None
-        return Verdict(True) if w is None else Verdict(False, w)
+        w = associativity_failure(L)
+        return Verdict(w is None, w)
     if law not in _LAWS:
         raise ValueError(f"unknown law {law}")
-    t = L.table
     ld = division(L)[0] if law in _DIVIDING else None
-    for arity, checks, *pin in _LAWS[law]:
-        w = _first_failure(t, ld, L.size, arity, checks)
-        if w is not None:
-            detail = next(d for p, d in checks if not p(t, ld, *w))
-            return Verdict(False, w + tuple(f(t, ld, *w) for f in pin), detail)
-    return Verdict(True)
+    return _decide(L.table, ld, _LAWS[law], range(L.size))
 
 
 class StrictForm(enum.Enum):
@@ -188,14 +196,19 @@ class StrictForm(enum.Enum):
     STRICT_NON_ALTERNATIVE = "strict_non_alternative"
 
 
+def _nowhere(law: Law, detail: str = "") -> tuple:
+    """The row failing at each distinct pair where the one-check binary ``law`` holds."""
+    ((_, ((holds, _),)),) = _LAWS[law]
+    return _law(2, lambda t, ld, x, y: x == y or not holds(t, ld, x, y), detail)
+
+
 _STRICT = {
-    StrictForm.STRICT_NON_COMMUTATIVE: ((Law.COMMUTATIVE, ""),),
-    StrictForm.STRICT_NON_LEFT_ALT: ((Law.LEFT_ALTERNATIVE, ""),),
-    StrictForm.STRICT_NON_RIGHT_ALT: ((Law.RIGHT_ALTERNATIVE, ""),),
+    StrictForm.STRICT_NON_COMMUTATIVE: _nowhere(Law.COMMUTATIVE),
+    StrictForm.STRICT_NON_LEFT_ALT: _nowhere(Law.LEFT_ALTERNATIVE),
+    StrictForm.STRICT_NON_RIGHT_ALT: _nowhere(Law.RIGHT_ALTERNATIVE),
     StrictForm.STRICT_NON_ALTERNATIVE: (
-        (Law.LEFT_ALTERNATIVE, "left alternative law holds somewhere"),
-        (Law.RIGHT_ALTERNATIVE, "right alternative law holds somewhere"),
-    ),
+        _nowhere(Law.LEFT_ALTERNATIVE, "left alternative law holds somewhere")
+        + _nowhere(Law.RIGHT_ALTERNATIVE, "right alternative law holds somewhere")),
 }
 
 
@@ -203,14 +216,7 @@ def check_strict(L: FiniteLoop, form: StrictForm) -> Verdict:
     """Strict negative forms: the named binary laws fail on every distinct non-identity pair."""
     if form not in _STRICT:
         raise ValueError(f"unknown strict form {form}")
-    t = L.table
-    for law, detail in _STRICT[form]:
-        ((_, ((holds, _),)),) = _LAWS[law]  # a one-check binary row
-        for x in range(1, L.size):
-            for y in range(1, L.size):
-                if x != y and holds(t, None, x, y):
-                    return Verdict(False, (x, y), detail)
-    return Verdict(True)
+    return _decide(L.table, None, _STRICT[form], range(1, L.size))
 
 
 def is_power_associative(L: FiniteLoop) -> Verdict:
@@ -222,13 +228,10 @@ def is_power_associative(L: FiniteLoop) -> Verdict:
 
 
 def is_diassociative(L: FiniteLoop) -> Verdict:
-    """Every pair of elements generates an associative subloop."""
-    for x in range(L.size):
-        for y in range(x, L.size):
-            gen = generated_subloop(L, (x, y))
-            if not is_subgroup(L, gen):
-                return Verdict(False, (x, y))
-    return Verdict(True)
+    """Every pair of elements generates an associative subloop; (y, x) with y > x
+    generates what (x, y) does, so it passes unscanned."""
+    return _decide(L.table, None, _law(2, lambda t, ld, x, y: (
+        y < x or is_subgroup(L, generated_subloop(L, (x, y))))), range(L.size))
 
 
 class SpecialKind(enum.Enum):
@@ -245,7 +248,48 @@ class SpecialKind(enum.Enum):
     SIMPLE = "simple"
 
 
-PSEUDO_COMMUTATIVE_VARIANTS = ("ax.b=bx.a", "ax.b=b.xa", "a.xb=bx.a", "a.xb=b.xa")
+def _non_pseudo_associating(t, ld, a, b, c) -> int | None:
+    """The first x with (ab)(xc) != (ax)(bc), or None."""
+    return next((x for x in range(len(t)) if not _pseudo_associates(t, a, b, c, x)), None)
+
+
+# The universal special properties as rows: a tuple the property does not
+# quantify over passes.  A pseudo-associative row scans triples (a, b, c) and
+# pins the first failing x.
+_SPECIAL = {
+    SpecialKind.SEMI_RIGHT_COMMUTATIVE: (),  # no pass: it holds in every loop
+    # pq = r(qp) or pq = (rq)p for some rotation (p, q, r) of three distinct
+    # elements: a repeated entry (x, x, x) with x*x = e satisfies no rotation
+    SpecialKind.STRONGLY_SEMI_RIGHT_COMMUTATIVE: _law(3, lambda t, ld, x, y, z: (
+        len({x, y, z}) < 3 or any(t[p][q] in (t[r][t[q][p]], t[t[r][q]][p])
+                                  for p, q, r in ((x, y, z), (y, z, x), (z, x, y))))),
+    SpecialKind.STRONGLY_PSEUDO_COMMUTATIVE: _law(3, lambda t, ld, a, b, x: (
+        a == b or bool({t[t[a][x]][b], t[a][t[x][b]]} & {t[t[b][x]][a], t[b][t[x][a]]}))),
+    SpecialKind.PSEUDO_ASSOCIATIVE: _law(3, lambda t, ld, a, b, c: (
+        t[t[a][b]][c] != t[a][t[b][c]] or _non_pseudo_associating(t, ld, a, b, c) is None),
+        "", _non_pseudo_associating),
+    # the strong form drops the requirement that the triple associates
+    SpecialKind.STRONGLY_PSEUDO_ASSOCIATIVE: _law(3, lambda t, ld, a, b, c: (
+        _non_pseudo_associating(t, ld, a, b, c) is None), "", _non_pseudo_associating),
+}
+# The four bracketings of the loosely stated pseudo-commutative law, over
+# commuting pairs (a, b) and every x; the first is the (ax)b = (bx)a reading.
+_PSEUDO_COMMUTATIVE = {
+    "ax.b=bx.a": _law(3, lambda t, ld, a, b, x: (
+        t[a][b] != t[b][a] or t[t[a][x]][b] == t[t[b][x]][a])),
+    "ax.b=b.xa": _law(3, lambda t, ld, a, b, x: (
+        t[a][b] != t[b][a] or t[t[a][x]][b] == t[b][t[x][a]])),
+    "a.xb=bx.a": _law(3, lambda t, ld, a, b, x: (
+        t[a][b] != t[b][a] or t[a][t[x][b]] == t[t[b][x]][a])),
+    "a.xb=b.xa": _law(3, lambda t, ld, a, b, x: (
+        t[a][b] != t[b][a] or t[a][t[x][b]] == t[b][t[x][a]])),
+}
+PSEUDO_COMMUTATIVE_VARIANTS = tuple(_PSEUDO_COMMUTATIVE)
+# a CA-loop has some x with (ax)b = (xb)a and a(xb) = b(ax) for every a, b:
+# the first such x is the first failure of this negation
+_NOT_CA_ELEMENT = _law(1, lambda t, ld, x: not all(
+    t[t[a][x]][b] == t[t[x][b]][a] and t[a][t[x][b]] == t[b][t[a][x]]
+    for a in range(len(t)) for b in range(len(t))))
 
 
 def special_commutativity(
@@ -259,43 +303,19 @@ def special_commutativity(
     ``pseudo_variant`` selects which bracketing of the pseudo-commutative law
     is enforced; the default is the (ax)b = (bx)a reading and the remaining
     three are alternative interpretations of the same loosely stated law.
+    Semi-right commutativity (some c with ab = c(ba) or ab = (cb)a, for every
+    a, b) holds in every loop with no scan: c = (ab)/(ba), the right quotient,
+    solves ab = c(ba).
     """
-    t = L.table
-    size = L.size
     if kind is SpecialKind.CA_LOOP:
-        for x in range(size):
-            if all(
-                t[t[a][x]][b] == t[t[x][b]][a] and t[a][t[x][b]] == t[b][t[a][x]]
-                for a in range(size)
-                for b in range(size)
-            ):
-                return Verdict(True, (x,))
-        return Verdict(False)
-    if kind is SpecialKind.SEMI_RIGHT_COMMUTATIVE:
-        for a in range(size):
-            for b in range(size):
-                ab = t[a][b]
-                ba = t[b][a]
-                if not any(
-                    ab == t[c][ba] or ab == t[t[c][b]][a] for c in range(size)
-                ):
-                    return Verdict(False, (a, b))
-        return Verdict(True)
-    if kind is SpecialKind.STRONGLY_SEMI_RIGHT_COMMUTATIVE:
-        # triples range over distinct elements: a repeated entry (x, x, x)
-        # with x*x = e makes all three disjuncts unsatisfiable
-        def clause(p, q, r):
-            pq, qp = t[p][q], t[q][p]
-            return pq == t[r][qp] or pq == t[t[r][q]][p]
-
-        for x in range(size):
-            for y in range(size):
-                for z in range(size):
-                    if len({x, y, z}) < 3:
-                        continue
-                    if not (clause(x, y, z) or clause(y, z, x) or clause(z, x, y)):
-                        return Verdict(False, (x, y, z))
-        return Verdict(True)
+        negation = _decide(L.table, None, _NOT_CA_ELEMENT, range(L.size))
+        return Verdict(not negation.holds, negation.witness)
+    if kind is SpecialKind.PSEUDO_COMMUTATIVE:
+        if pseudo_variant not in _PSEUDO_COMMUTATIVE:
+            raise ValueError(f"unknown pseudo variant {pseudo_variant!r}")
+        return _decide(L.table, None, _PSEUDO_COMMUTATIVE[pseudo_variant], range(L.size))
+    if kind in _SPECIAL:
+        return _decide(L.table, None, _SPECIAL[kind], range(L.size))
     if kind in (SpecialKind.INNER_COMMUTATIVE, SpecialKind.STRICTLY_INNER_COMMUTATIVE):
         if check_law(L, Law.COMMUTATIVE).holds:
             return Verdict(False, None, "loop itself is commutative")
@@ -311,48 +331,6 @@ def special_commutativity(
                 and is_cyclic_group(L, S)
             ):
                 return Verdict(False, S.elements, "proper subloop is a cyclic group")
-        return Verdict(True)
-    if kind is SpecialKind.PSEUDO_COMMUTATIVE:
-        if pseudo_variant not in PSEUDO_COMMUTATIVE_VARIANTS:
-            raise ValueError(f"unknown pseudo variant {pseudo_variant!r}")
-        lhs_first = pseudo_variant.startswith("ax.b")
-        rhs_first = pseudo_variant.endswith("bx.a")
-        for a in range(size):
-            for b in range(size):
-                if t[a][b] != t[b][a]:
-                    continue
-                for x in range(size):
-                    lhs = t[t[a][x]][b] if lhs_first else t[a][t[x][b]]
-                    rhs = t[t[b][x]][a] if rhs_first else t[b][t[x][a]]
-                    if lhs != rhs:
-                        return Verdict(False, (a, b, x))
-        return Verdict(True)
-    if kind is SpecialKind.STRONGLY_PSEUDO_COMMUTATIVE:
-        for a in range(size):
-            for b in range(size):
-                if a == b:
-                    continue
-                for x in range(size):
-                    left = {t[t[a][x]][b], t[a][t[x][b]]}
-                    right = {t[t[b][x]][a], t[b][t[x][a]]}
-                    if not left & right:
-                        return Verdict(False, (a, b, x))
-        return Verdict(True)
-    if kind in (SpecialKind.PSEUDO_ASSOCIATIVE, SpecialKind.STRONGLY_PSEUDO_ASSOCIATIVE):
-        # strong form drops the requirement that the triple associates
-        for a in range(size):
-            for b in range(size):
-                ab = t[a][b]
-                for c in range(size):
-                    if (
-                        kind is SpecialKind.PSEUDO_ASSOCIATIVE
-                        and t[ab][c] != t[a][t[b][c]]
-                    ):
-                        continue
-                    bc = t[b][c]
-                    for x in range(size):
-                        if t[ab][t[x][c]] != t[t[a][x]][bc]:
-                            return Verdict(False, (a, b, c, x))
         return Verdict(True)
     if kind is SpecialKind.HAMILTONIAN:
         census = substructures.all_subloops(L, cap)
@@ -500,18 +478,13 @@ def up_tup_check(L: FiniteLoop, mode: str, max_subset_size: int = DEFAULT_CAPS.s
     subset_count = sum(comb(L.size, r) for r in range(1, max_size + 1))
     if subset_count * subset_count > 4_000_000:
         raise SizeCapExceeded("subset pairs", subset_count * subset_count, 4_000_000)
-    subsets = list(_nonempty_subsets(L.size, max_size))
     need = 1 if mode == "up" else 2
-    for A in subsets:
-        for B in subsets:
-            if mode == "tup" and len(A) + len(B) <= 2:
-                continue
-            reps: dict[int, int] = {}
-            for a in A:
-                for b in B:
-                    v = L.table[a][b]
-                    reps[v] = reps.get(v, 0) + 1
-            unique = sum(1 for v in reps.values() if v == 1)
-            if unique < need:
-                return Verdict(False, (A, B))
-    return Verdict(True)
+
+    def enough_unique(t, ld, A, B) -> bool:
+        if mode == "tup" and len(A) + len(B) <= 2:
+            return True
+        reps = Counter(t[a][b] for a in A for b in B)
+        return sum(1 for v in reps.values() if v == 1) >= need
+
+    subsets = list(_nonempty_subsets(L.size, max_size))
+    return _decide(L.table, None, _law(2, enough_unique), subsets)

@@ -22,7 +22,7 @@ Permutation = tuple[int, ...]
 
 def right_regular_representation(L: FiniteLoop) -> list[Permutation]:
     """[R_a for each element a], with R_e the identity at position 0."""
-    return [tuple(L.table[x][a] for x in range(L.size)) for a in range(L.size)]
+    return list(zip(*L.table))
 
 
 def cycle_class(perm: Permutation) -> CycleClass:

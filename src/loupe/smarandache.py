@@ -38,6 +38,8 @@ from .errors import (
 )
 from .identities import (
     _LAWS,
+    _decide,
+    _law,
     Law,
     Verdict,
     check_law,
@@ -385,18 +387,18 @@ class SMode(enum.Enum):
     FOR_ALL = "for_all"
 
 
+# some triple of distinct non-identity elements associates: the first failure
+# of this negation over the domain range(1, n)
+_NO_ASSOCIATIVE_TRIPLE = _law(
+    3, lambda t, ld, x, y, z: len({x, y, z}) < 3 or t[t[x][y]][z] != t[x][t[y][z]])
+
+
 def _s_subloop_satisfies(L: FiniteLoop, A: SubLoop, law) -> bool:
     sub = subloop_as_loop(L, A)
     if isinstance(law, Law):
         return check_law(sub, law).holds
     if law is SLaw.ASSOCIATIVE_TRIPLE:
-        t = sub.table
-        for x in range(1, sub.size):
-            for y in range(1, sub.size):
-                for z in range(1, sub.size):
-                    if len({x, y, z}) == 3 and t[t[x][y]][z] == t[x][t[y][z]]:
-                        return True
-        return False
+        return not _decide(sub.table, None, _NO_ASSOCIATIVE_TRIPLE, range(1, sub.size)).holds
     if law is SLaw.PAIRWISE_ASSOCIATIVE:
         return check_law(sub, Law.FLEXIBLE).holds
     if law is SLaw.DIASSOCIATIVE:
@@ -488,10 +490,10 @@ def s_homomorphism_check(
         return Verdict(False, None, "map does not cover the domain subgroup")
     if not set(mapping.values()) <= set(A2.elements):
         return Verdict(False, None, "image escapes the codomain subgroup")
-    for a in A.elements:
-        for b in A.elements:
-            if mapping[L1.table[a][b]] != L2.table[mapping[a]][mapping[b]]:
-                return Verdict(False, (a, b), "not multiplicative")
+    multiplicative = _decide(L1.table, None, _law(2, lambda t, ld, a, b: (
+        mapping[t[a][b]] == L2.table[mapping[a]][mapping[b]]), "not multiplicative"), A.elements)
+    if not multiplicative.holds:
+        return multiplicative
     if set(mapping.values()) != set(A2.elements):
         return Verdict(False, None, "not surjective onto the codomain subgroup")
     return Verdict(True)

@@ -212,6 +212,11 @@ def _associators(L: FiniteLoop) -> set[int]:
     return gens
 
 
+def _pseudo_associates(t, a, b, c, w) -> bool:
+    """The pseudo-associative identity (ab)(wc) = (aw)(bc) at w over the triple (a, b, c)."""
+    return t[t[a][b]][t[w][c]] == t[t[a][w]][t[b][c]]
+
+
 def _pseudo_associators(L: FiniteLoop, domain, candidates, must_associate: bool) -> set[int]:
     """The w in ``candidates`` with (ab)(wc) = (aw)(bc) for some triple over ``domain``.
 
@@ -221,14 +226,9 @@ def _pseudo_associators(L: FiniteLoop, domain, candidates, must_associate: bool)
     gens = set()
     for a in domain:
         for b in domain:
-            ab = t[a][b]
             for c in domain:
-                if must_associate and t[ab][c] != t[a][t[b][c]]:
-                    continue
-                bc = t[b][c]
-                for w in candidates:
-                    if t[ab][t[w][c]] == t[t[a][w]][bc]:
-                        gens.add(w)
+                if not must_associate or t[t[a][b]][c] == t[a][t[b][c]]:
+                    gens.update(w for w in candidates if _pseudo_associates(t, a, b, c, w))
     return gens
 
 

@@ -7,10 +7,11 @@ without invariant pruning or by backtracking over every element rather than a
 generating set, G-loops are decided by searching every isotope with no
 shortcut from theory, isotopes are revalidated, multiplication groups
 are closed by composing in Python, inner-mapping laws are scanned over every
-inner mapping, each law is decided by its own hand-written branch, lattice
-joins and covers are found by rescanning every node, enumerated colorings are
-filtered through their forced edge and revalidated, and one-factorizations are
-counted by filtering every matching through its anchor edge.
+inner mapping, each law, strict form and special property is decided by its
+own hand-written branch, lattice joins and covers are found by rescanning
+every node, enumerated colorings are filtered through their forced edge and
+revalidated, and one-factorizations are counted by filtering every matching
+through its anchor edge.
 """
 
 from __future__ import annotations
@@ -26,11 +27,12 @@ from loupe.core import (
     certify_subloop,
     compose,
     generated_subloop,
+    is_commutative_subset,
     subloop_as_loop,
     validate_loop,
 )
 from loupe.errors import BadIndex, CapExceeded, ClosureBlowup, OddOrder, SizeCapExceeded
-from loupe.identities import Law, StrictForm, Verdict
+from loupe.identities import PSEUDO_COMMUTATIVE_VARIANTS, Law, SpecialKind, StrictForm, Verdict
 from loupe.isotopes import principal_isotope
 from loupe.lattice import InclusionLattice, _is_sublattice
 from loupe.smarandache import TripleLaw
@@ -477,6 +479,149 @@ def check_strict_by_branches(L: FiniteLoop, form: StrictForm) -> Verdict:
             return Verdict(False, right.witness, "right alternative law holds somewhere")
         return Verdict(True)
     raise ValueError(f"unknown strict form {form}")
+
+
+def special_commutativity_by_branches(
+    L: FiniteLoop, kind: SpecialKind, pseudo_variant: str = "ax.b=bx.a"
+) -> Verdict:
+    """The order-sensitive commutativity/associativity properties, one hand-written
+    scan per kind; the census kinds read the census built by extension."""
+    t = L.table
+    size = L.size
+    if kind is SpecialKind.CA_LOOP:
+        for x in range(size):
+            if all(
+                t[t[a][x]][b] == t[t[x][b]][a] and t[a][t[x][b]] == t[b][t[a][x]]
+                for a in range(size)
+                for b in range(size)
+            ):
+                return Verdict(True, (x,))
+        return Verdict(False)
+    if kind is SpecialKind.SEMI_RIGHT_COMMUTATIVE:
+        for a in range(size):
+            for b in range(size):
+                ab = t[a][b]
+                ba = t[b][a]
+                if not any(
+                    ab == t[c][ba] or ab == t[t[c][b]][a] for c in range(size)
+                ):
+                    return Verdict(False, (a, b))
+        return Verdict(True)
+    if kind is SpecialKind.STRONGLY_SEMI_RIGHT_COMMUTATIVE:
+        # triples range over distinct elements: a repeated entry (x, x, x)
+        # with x*x = e makes all three disjuncts unsatisfiable
+        def clause(p, q, r):
+            pq, qp = t[p][q], t[q][p]
+            return pq == t[r][qp] or pq == t[t[r][q]][p]
+
+        for x in range(size):
+            for y in range(size):
+                for z in range(size):
+                    if len({x, y, z}) < 3:
+                        continue
+                    if not (clause(x, y, z) or clause(y, z, x) or clause(z, x, y)):
+                        return Verdict(False, (x, y, z))
+        return Verdict(True)
+    if kind in (SpecialKind.INNER_COMMUTATIVE, SpecialKind.STRICTLY_INNER_COMMUTATIVE):
+        if check_law_by_branches(L, Law.COMMUTATIVE).holds:
+            return Verdict(False, None, "loop itself is commutative")
+        census = census_by_extension(L)
+        for S in census.subloops:
+            if not S.is_proper():
+                continue
+            if not is_commutative_subset(L, S.elements):
+                return Verdict(False, S.elements, "non-commutative proper subloop")
+            if (
+                kind is SpecialKind.STRICTLY_INNER_COMMUTATIVE
+                and S.order >= 2
+                and is_cyclic_group_by_powers(L, S)
+            ):
+                return Verdict(False, S.elements, "proper subloop is a cyclic group")
+        return Verdict(True)
+    if kind is SpecialKind.PSEUDO_COMMUTATIVE:
+        if pseudo_variant not in PSEUDO_COMMUTATIVE_VARIANTS:
+            raise ValueError(f"unknown pseudo variant {pseudo_variant!r}")
+        lhs_first = pseudo_variant.startswith("ax.b")
+        rhs_first = pseudo_variant.endswith("bx.a")
+        for a in range(size):
+            for b in range(size):
+                if t[a][b] != t[b][a]:
+                    continue
+                for x in range(size):
+                    lhs = t[t[a][x]][b] if lhs_first else t[a][t[x][b]]
+                    rhs = t[t[b][x]][a] if rhs_first else t[b][t[x][a]]
+                    if lhs != rhs:
+                        return Verdict(False, (a, b, x))
+        return Verdict(True)
+    if kind is SpecialKind.STRONGLY_PSEUDO_COMMUTATIVE:
+        for a in range(size):
+            for b in range(size):
+                if a == b:
+                    continue
+                for x in range(size):
+                    left = {t[t[a][x]][b], t[a][t[x][b]]}
+                    right = {t[t[b][x]][a], t[b][t[x][a]]}
+                    if not left & right:
+                        return Verdict(False, (a, b, x))
+        return Verdict(True)
+    if kind in (SpecialKind.PSEUDO_ASSOCIATIVE, SpecialKind.STRONGLY_PSEUDO_ASSOCIATIVE):
+        # strong form drops the requirement that the triple associates
+        for a in range(size):
+            for b in range(size):
+                ab = t[a][b]
+                for c in range(size):
+                    if (
+                        kind is SpecialKind.PSEUDO_ASSOCIATIVE
+                        and t[ab][c] != t[a][t[b][c]]
+                    ):
+                        continue
+                    bc = t[b][c]
+                    for x in range(size):
+                        if t[ab][t[x][c]] != t[t[a][x]][bc]:
+                            return Verdict(False, (a, b, c, x))
+        return Verdict(True)
+    if kind is SpecialKind.HAMILTONIAN:
+        census = census_by_extension(L)
+        for S, normal in zip(census.subloops, census.normal_flags):
+            if not normal:
+                return Verdict(False, S.elements)
+        return Verdict(True)
+    if kind is SpecialKind.SIMPLE:
+        census = census_by_extension(L)
+        for S, normal in zip(census.subloops, census.normal_flags):
+            if normal and not S.is_trivial() and S.is_proper():
+                return Verdict(False, S.elements, "non-trivial normal subloop")
+        return Verdict(True)
+    raise ValueError(f"unknown kind {kind}")
+
+
+def pseudo_associators_by_scan(L: FiniteLoop, domain, candidates, must_associate: bool) -> set[int]:
+    """The w in ``candidates`` with (ab)(wc) = (aw)(bc) for some triple over ``domain``
+    (only triples with (ab)c = a(bc) when ``must_associate``)."""
+    t = L.table
+    gens = set()
+    for a in domain:
+        for b in domain:
+            ab = t[a][b]
+            for c in domain:
+                if must_associate and t[ab][c] != t[a][t[b][c]]:
+                    continue
+                bc = t[b][c]
+                for w in candidates:
+                    if t[ab][t[w][c]] == t[t[a][w]][bc]:
+                        gens.add(w)
+    return gens
+
+
+def has_associative_triple_by_scan(sub: FiniteLoop) -> bool:
+    """Some triple of distinct non-identity elements associates (the associative-triple S-law)."""
+    t = sub.table
+    for x in range(1, sub.size):
+        for y in range(1, sub.size):
+            for z in range(1, sub.size):
+                if len({x, y, z}) == 3 and t[t[x][y]][z] == t[x][t[y][z]]:
+                    return True
+    return False
 
 
 _TRIPLE_FORMULAS = {

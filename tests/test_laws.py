@@ -1,6 +1,7 @@
 """The division layer and the table-driven law engine against the scans and
-hand-written branches they replace: division tables, every law and strict
-form, special triples and principal isotopes, cold and from the memo."""
+hand-written branches they replace: division tables, every law, strict form,
+special property and S-law row, special triples and principal isotopes, cold
+and from the memo."""
 
 import dataclasses
 import random
@@ -8,28 +9,52 @@ from itertools import product
 
 import pytest
 
-from loupe import build_ln, cyclic_group, direct_product, symmetric_group
+from loupe import build_ln, core, cyclic_group, direct_product, symmetric_group
 from loupe.core import (
     associator,
     commutator,
     division,
+    is_associative,
     left_divide,
     right_divide,
+    subloop_as_loop,
     two_sided_inverse,
 )
-from loupe.identities import _GROUP_LAWS, Law, StrictForm, check_law, check_strict
+from loupe.identities import (
+    _GROUP_LAWS,
+    PSEUDO_COMMUTATIVE_VARIANTS,
+    Law,
+    SpecialKind,
+    StrictForm,
+    Verdict,
+    check_law,
+    check_strict,
+    special_commutativity,
+)
 from loupe.isotopes import principal_isotope
-from loupe.smarandache import TripleLaw, special_triple
-from loupe.substructures import all_subloops
+from loupe.smarandache import (
+    SLaw,
+    SMode,
+    TripleLaw,
+    _s_subloop_satisfies,
+    s_law_check,
+    s_substructures,
+    special_triple,
+)
+from loupe.substructures import _pseudo_associators, all_subloops
 
 from oracles import (
     associator_by_scan,
+    census_by_extension,
     check_law_by_branches,
     check_strict_by_branches,
+    has_associative_triple_by_scan,
     ldiv_by_scan,
     principal_isotope_by_validation,
+    pseudo_associators_by_scan,
     random_loop,
     rdiv_by_scan,
+    special_commutativity_by_branches,
     special_triple_by_formulas,
     two_sided_inverse_by_scan,
 )
@@ -163,6 +188,47 @@ def test_group_laws_read_the_associativity_memo(corpus, chein_s3):
             assert all(expected[law].holds for law in _GROUP_LAWS), name
 
 
+def test_associativity_scan_has_one_owner(corpus, monkeypatch):
+    """check_law and is_associative share core.associativity_failure: each decides
+    a fresh loop with one scan and reads the verdict the other recorded."""
+    scans = []
+    scan = core._associativity_failure
+    monkeypatch.setattr(core, "_associativity_failure", lambda t, e: scans.append(e) or scan(t, e))
+    for name, L in list(corpus.items()) + _group_loops():
+        expected = check_law_by_branches(L, Law.ASSOCIATIVE)
+        fresh = dataclasses.replace(L)
+        assert check_law(fresh, Law.ASSOCIATIVE) == expected, name
+        assert is_associative(fresh) == expected.holds, name
+        if expected.holds:
+            assert all(check_law(fresh, law).holds for law in _GROUP_LAWS), name
+        assert len(scans) == 1, name
+        scans.clear()
+        fresh = dataclasses.replace(L)
+        assert is_associative(fresh) == expected.holds, name
+        assert check_law(fresh, Law.ASSOCIATIVE) == expected, name
+        # a failing verdict scans again for its first counterexample
+        assert len(scans) == (1 if expected.holds else 2), name
+        scans.clear()
+
+
+def test_pseudo_associators_agree_with_scan(loops):
+    # a domain holding e admits every w through the triple (e, e, e), so most
+    # domains here leave it out
+    rng = random.Random(1987)
+    for name, L in loops:
+        if L.size > 16:
+            continue
+        others = range(1, L.size)
+        domains = [range(L.size), others] + [
+            sorted(rng.sample(others, k)) for k in range(1, L.size)
+        ]
+        for domain, must in product(domains, (False, True)):
+            assert _pseudo_associators(L, domain, domain, must) == pseudo_associators_by_scan(
+                L, domain, domain, must), (name, domain, must)
+            assert _pseudo_associators(L, domain, range(L.size), must) == (
+                pseudo_associators_by_scan(L, domain, range(L.size), must)), (name, domain, must)
+
+
 def test_special_triples_agree_with_formulas(loops):
     rng = random.Random(1958)
     for name, L in loops:
@@ -200,3 +266,127 @@ def test_product_only_laws_leave_division_unbuilt(loops):
             cold = dataclasses.replace(L)
             check_law(cold, law)
             assert "div" in cold._memo, (name, law)
+
+
+DEFAULT = PSEUDO_COMMUTATIVE_VARIANTS[0]
+# every special kind, with each reading of the pseudo-commutative law
+SPECIAL_CASES = [
+    (kind, variant)
+    for kind in SpecialKind
+    for variant in (PSEUDO_COMMUTATIVE_VARIANTS if kind is SpecialKind.PSEUDO_COMMUTATIVE
+                    else (DEFAULT,))
+]
+
+
+def _special_loops():
+    """Random loops of order 1-8, four commutative and four not of each order."""
+    rng = random.Random(1996)
+    return [
+        (f"random{i}", random_loop(rng, 1 + (i // 2) % 8, commutative=bool(i % 2)))
+        for i in range(64)
+    ]
+
+
+def _breaks(t, kind, variant, w) -> bool:
+    """Replay a failing witness through the formula the oracle states for its kind."""
+    if kind is SpecialKind.STRONGLY_SEMI_RIGHT_COMMUTATIVE:
+        def clause(p, q, r):
+            pq, qp = t[p][q], t[q][p]
+            return pq == t[r][qp] or pq == t[t[r][q]][p]
+
+        x, y, z = w
+        return len(set(w)) == 3 and not (clause(x, y, z) or clause(y, z, x) or clause(z, x, y))
+    if kind is SpecialKind.PSEUDO_COMMUTATIVE:
+        a, b, x = w
+        lhs = t[t[a][x]][b] if variant.startswith("ax.b") else t[a][t[x][b]]
+        rhs = t[t[b][x]][a] if variant.endswith("bx.a") else t[b][t[x][a]]
+        return t[a][b] == t[b][a] and lhs != rhs
+    if kind is SpecialKind.STRONGLY_PSEUDO_COMMUTATIVE:
+        a, b, x = w
+        return a != b and not {t[t[a][x]][b], t[a][t[x][b]]} & {t[t[b][x]][a], t[b][t[x][a]]}
+    a, b, c, x = w
+    associates = t[t[a][b]][c] == t[a][t[b][c]]
+    return ((associates or kind is SpecialKind.STRONGLY_PSEUDO_ASSOCIATIVE)
+            and t[t[a][b]][t[x][c]] != t[t[a][x]][t[b][c]])
+
+
+_UNIVERSAL = {
+    SpecialKind.STRONGLY_SEMI_RIGHT_COMMUTATIVE, SpecialKind.PSEUDO_COMMUTATIVE,
+    SpecialKind.STRONGLY_PSEUDO_COMMUTATIVE, SpecialKind.PSEUDO_ASSOCIATIVE,
+    SpecialKind.STRONGLY_PSEUDO_ASSOCIATIVE,
+}
+_LEFT_ALT = lambda t, x, y: t[t[x][x]][y] == t[x][t[x][y]]
+_RIGHT_ALT = lambda t, x, y: t[t[x][y]][y] == t[x][t[y][y]]
+# the binary law a strict form forbids, keyed by the form and its failure's detail
+_FORBIDDEN = {
+    (StrictForm.STRICT_NON_COMMUTATIVE, ""): lambda t, x, y: t[x][y] == t[y][x],
+    (StrictForm.STRICT_NON_LEFT_ALT, ""): _LEFT_ALT,
+    (StrictForm.STRICT_NON_RIGHT_ALT, ""): _RIGHT_ALT,
+    (StrictForm.STRICT_NON_ALTERNATIVE, "left alternative law holds somewhere"): _LEFT_ALT,
+    (StrictForm.STRICT_NON_ALTERNATIVE, "right alternative law holds somewhere"): _RIGHT_ALT,
+}
+
+
+def _s_law_by_scan(L, mode):
+    """``s_law_check`` of the associative-triple S-law, each S-subloop decided by the oracle."""
+    subloops = s_substructures(L).s_subloops
+    if not subloops:
+        if mode is SMode.EXISTS:
+            return Verdict(False, None, "no S-subloops")
+        return Verdict(True, None, "no S-subloops (vacuous)")
+    for A in subloops:
+        if has_associative_triple_by_scan(subloop_as_loop(L, A)) == (mode is SMode.EXISTS):
+            return Verdict(mode is SMode.EXISTS, A.elements)
+    return Verdict(mode is not SMode.EXISTS)
+
+
+def test_special_properties_strict_forms_and_s_law_agree_with_branches(corpus):
+    verdicts = []
+    for name, L in list(corpus.items()) + _special_loops():
+        expected = {
+            (kind, variant): special_commutativity_by_branches(L, kind, variant)
+            for kind, variant in SPECIAL_CASES
+        }
+        strict = {form: check_strict_by_branches(L, form) for form in StrictForm}
+        census = census_by_extension(L).subloops  # the whole loop is its last member
+        triples = [has_associative_triple_by_scan(subloop_as_loop(L, A)) for A in census]
+        s_laws = {mode: _s_law_by_scan(L, mode) for mode in SMode}
+        fresh = dataclasses.replace(L)
+        for warm in (False, True):  # an empty memo, then one holding the census and flags
+            if warm:
+                all_subloops(fresh)
+            for (kind, variant), verdict in expected.items():
+                got = special_commutativity(fresh, kind, pseudo_variant=variant)
+                assert got == verdict, (name, kind, variant, warm)
+            for form in StrictForm:
+                assert check_strict(fresh, form) == strict[form], (name, form, warm)
+            got = [_s_subloop_satisfies(fresh, A, SLaw.ASSOCIATIVE_TRIPLE) for A in census]
+            assert got == triples, (name, warm)
+            for mode in SMode:
+                got = s_law_check(fresh, SLaw.ASSOCIATIVE_TRIPLE, mode)
+                assert got == s_laws[mode], (name, mode, warm)
+        verdicts.append((L, expected, strict, triples[-1]))
+
+    failed = set()
+    for L, expected, strict, _ in verdicts:
+        t = L.table
+        for (kind, variant), verdict in expected.items():
+            if kind in _UNIVERSAL and not verdict.holds:
+                failed.add((kind, variant))
+                assert _breaks(t, kind, variant, verdict.witness), (kind, variant, verdict)
+        for form, verdict in strict.items():
+            if not verdict.holds:
+                x, y = verdict.witness
+                assert x != y and 0 not in (x, y), (form, verdict)
+                assert _FORBIDDEN[form, verdict.detail](t, x, y), (form, verdict)
+    # every universal kind and reading fails somewhere and holds somewhere, as
+    # does the CA-loop
+    universal = {case for case in SPECIAL_CASES if case[0] in _UNIVERSAL}
+    assert failed == universal
+    holds = {case for _, expected, _, _ in verdicts for case, v in expected.items() if v.holds}
+    assert universal | {(SpecialKind.CA_LOOP, DEFAULT)} <= holds
+    assert any(not e[SpecialKind.CA_LOOP, DEFAULT].holds for _, e, _, _ in verdicts)
+    # semi-right commutativity never fails: c = (ab)/(ba) solves ab = c(ba)
+    assert all(e[SpecialKind.SEMI_RIGHT_COMMUTATIVE, DEFAULT].holds for _, e, _, _ in verdicts)
+    # the associative-triple S-law holds on some whole loops and fails on others
+    assert {whole for *_, whole in verdicts} == {False, True}

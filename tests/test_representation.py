@@ -36,10 +36,14 @@ def test_reference_rendering_matches_frozen_lines():
     assert render_representation(build_ln(7, 4)) == L7_4_LINES
 
 
-def test_identity_translation():
+def test_identity_translation(corpus):
     for n, m in ((5, 2), (9, 5)):
         perms = right_regular_representation(build_ln(n, m))
         assert perms[0] == tuple(range(n + 1))
+    # R_a is column a of the table: x -> xa
+    for name, L in corpus.items():
+        perms = right_regular_representation(L)
+        assert perms == [tuple(L.table[x][a] for x in range(L.size)) for a in range(L.size)], name
 
 
 def test_cycle_class_values():

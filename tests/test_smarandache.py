@@ -14,7 +14,7 @@ from loupe import (
     symmetric_group,
 )
 from loupe.errors import NotASubgroup, NotPrime, QNotInSubloop, SearchCapExceeded
-from loupe.identities import Law
+from loupe.identities import Law, Verdict
 from loupe.smarandache import (
     RelativeKind,
     SLaw,
@@ -278,6 +278,11 @@ def test_s_homomorphism():
     B = certify_subloop(L53, [0, 1])
     collapse = s_homomorphism_check(L53, L53, B, B, {0: 0, 1: 0})
     assert not collapse.holds and collapse.detail == "not surjective onto the codomain subgroup"
+    # swapping 1 and 2 in Z_4 first breaks the product at (1, 1): 1+1 = 2 maps to 1, not 2+2 = 0
+    z4 = cyclic_group(4)
+    whole = certify_subloop(z4, range(4))
+    swap = s_homomorphism_check(z4, z4, whole, whole, {0: 0, 1: 2, 2: 1, 3: 3})
+    assert swap == Verdict(False, (1, 1), "not multiplicative")
     with pytest.raises(NotASubgroup):
         H = certify_subloop(build_ln(15, 2), [0, 1, 4, 7, 10, 13])
         s_homomorphism_check(build_ln(15, 2), L53, H, A, {})
