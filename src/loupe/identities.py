@@ -7,7 +7,8 @@ counterexample in lexicographic order, and re-evaluating that witness through
 the table must reproduce the violation.  An existential property (a CA-loop
 element, an associative triple) is the first failure of its negation.
 Semi-right commutativity needs no scan: it holds in every loop by right
-division.
+division.  Setting a = e settles the pseudo-associative kinds and most
+readings of the pseudo-commutative law (see ``special_commutativity``).
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ from .core import (
     two_sided_inverse,
 )
 from .errors import CapExceeded, NotIPLoop, SizeCapExceeded
-from .substructures import _pseudo_associates
 
 
 @dataclass(frozen=True)
@@ -158,15 +158,16 @@ def _first_failure(t, ld, domain, arity: int, checks) -> tuple | None:
     return None
 
 
-def _decide(t, ld, rows, domain) -> Verdict:
-    """Verdict of a row over ``domain``: the first failure of its first failing pass."""
+def _decide(t, ld, rows, domain, lead: tuple = ()) -> Verdict:
+    """Verdict of a row over ``domain``: the first failure of its first failing
+    pass, after ``lead``."""
     for arity, checks, *pin in rows:
         w = _first_failure(t, ld, domain, arity, checks)
         if w is not None:
             # a lone check is not run again: its predicate may close a subloop
             detail = checks[0][1] if len(checks) == 1 else next(
                 d for p, d in checks if not p(t, ld, *w))
-            return Verdict(False, w + tuple(f(t, ld, *w) for f in pin), detail)
+            return Verdict(False, lead + w + tuple(f(t, ld, *w) for f in pin), detail)
     return Verdict(True)
 
 
@@ -248,41 +249,31 @@ class SpecialKind(enum.Enum):
     SIMPLE = "simple"
 
 
-def _non_pseudo_associating(t, ld, a, b, c) -> int | None:
-    """The first x with (ab)(xc) != (ax)(bc), or None."""
-    return next((x for x in range(len(t)) if not _pseudo_associates(t, a, b, c, x)), None)
-
-
-# The universal special properties as rows: a tuple the property does not
-# quantify over passes.  A pseudo-associative row scans triples (a, b, c) and
-# pins the first failing x.
+# The universal special properties as rows, each with the lead of its failing
+# witness; a tuple the property does not quantify over passes.  A row with
+# lead 0 is the law that setting a = e leaves (see special_commutativity).
+_PSEUDO_ASSOCIATIVE_AT_E = (_law(3, lambda t, ld, b, c, x: t[b][t[x][c]] == t[x][t[b][c]]), (0,))
+_COMMUTATIVE_AT_E = (_LAWS[Law.COMMUTATIVE], (0,))
 _SPECIAL = {
-    SpecialKind.SEMI_RIGHT_COMMUTATIVE: (),  # no pass: it holds in every loop
+    SpecialKind.SEMI_RIGHT_COMMUTATIVE: ((), ()),  # no pass: it holds in every loop
     # pq = r(qp) or pq = (rq)p for some rotation (p, q, r) of three distinct
     # elements: a repeated entry (x, x, x) with x*x = e satisfies no rotation
-    SpecialKind.STRONGLY_SEMI_RIGHT_COMMUTATIVE: _law(3, lambda t, ld, x, y, z: (
+    SpecialKind.STRONGLY_SEMI_RIGHT_COMMUTATIVE: (_law(3, lambda t, ld, x, y, z: (
         len({x, y, z}) < 3 or any(t[p][q] in (t[r][t[q][p]], t[t[r][q]][p])
-                                  for p, q, r in ((x, y, z), (y, z, x), (z, x, y))))),
-    SpecialKind.STRONGLY_PSEUDO_COMMUTATIVE: _law(3, lambda t, ld, a, b, x: (
-        a == b or bool({t[t[a][x]][b], t[a][t[x][b]]} & {t[t[b][x]][a], t[b][t[x][a]]}))),
-    SpecialKind.PSEUDO_ASSOCIATIVE: _law(3, lambda t, ld, a, b, c: (
-        t[t[a][b]][c] != t[a][t[b][c]] or _non_pseudo_associating(t, ld, a, b, c) is None),
-        "", _non_pseudo_associating),
-    # the strong form drops the requirement that the triple associates
-    SpecialKind.STRONGLY_PSEUDO_ASSOCIATIVE: _law(3, lambda t, ld, a, b, c: (
-        _non_pseudo_associating(t, ld, a, b, c) is None), "", _non_pseudo_associating),
+                                  for p, q, r in ((x, y, z), (y, z, x), (z, x, y))))), ()),
+    SpecialKind.STRONGLY_PSEUDO_COMMUTATIVE: _COMMUTATIVE_AT_E,
+    SpecialKind.PSEUDO_ASSOCIATIVE: _PSEUDO_ASSOCIATIVE_AT_E,
+    SpecialKind.STRONGLY_PSEUDO_ASSOCIATIVE: _PSEUDO_ASSOCIATIVE_AT_E,
 }
 # The four bracketings of the loosely stated pseudo-commutative law, over
 # commuting pairs (a, b) and every x; the first is the (ax)b = (bx)a reading.
+_AX_B_IS_BX_A = (_law(3, lambda t, ld, a, b, x: (
+    t[a][b] != t[b][a] or t[t[a][x]][b] == t[t[b][x]][a])), ())
 _PSEUDO_COMMUTATIVE = {
-    "ax.b=bx.a": _law(3, lambda t, ld, a, b, x: (
-        t[a][b] != t[b][a] or t[t[a][x]][b] == t[t[b][x]][a])),
-    "ax.b=b.xa": _law(3, lambda t, ld, a, b, x: (
-        t[a][b] != t[b][a] or t[t[a][x]][b] == t[b][t[x][a]])),
-    "a.xb=bx.a": _law(3, lambda t, ld, a, b, x: (
-        t[a][b] != t[b][a] or t[a][t[x][b]] == t[t[b][x]][a])),
-    "a.xb=b.xa": _law(3, lambda t, ld, a, b, x: (
-        t[a][b] != t[b][a] or t[a][t[x][b]] == t[b][t[x][a]])),
+    "ax.b=bx.a": _AX_B_IS_BX_A,
+    "ax.b=b.xa": _COMMUTATIVE_AT_E,
+    "a.xb=bx.a": _COMMUTATIVE_AT_E,
+    "a.xb=b.xa": _AX_B_IS_BX_A,
 }
 PSEUDO_COMMUTATIVE_VARIANTS = tuple(_PSEUDO_COMMUTATIVE)
 # a CA-loop has some x with (ax)b = (xb)a and a(xb) = b(ax) for every a, b:
@@ -306,6 +297,16 @@ def special_commutativity(
     Semi-right commutativity (some c with ab = c(ba) or ab = (cb)a, for every
     a, b) holds in every loop with no scan: c = (ab)/(ba), the right quotient,
     solves ab = c(ba).
+
+    Setting a = e settles most pseudo properties, and their failing
+    witnesses start with 0.  Both pseudo-associative kinds read b(xc) = x(bc)
+    there, since (e, b, c) associates: c = e gives commutativity, and then
+    (bx)c = c(bx) = b(cx) = b(xc) gives associativity, so they hold exactly
+    on abelian groups.  Every pseudo-commutative reading reads xb = bx there,
+    and a commutative loop has (bx)a = a(xb) and b(xa) = (ax)b: the strong
+    form and the readings ax.b=b.xa and a.xb=bx.a are commutativity, and
+    a.xb=b.xa reads (bx)a = (ax)b, so it decides as ax.b=bx.a does (a
+    non-commutative loop fails both first at the same (0, b, x)).
     """
     if kind is SpecialKind.CA_LOOP:
         negation = _decide(L.table, None, _NOT_CA_ELEMENT, range(L.size))
@@ -313,9 +314,11 @@ def special_commutativity(
     if kind is SpecialKind.PSEUDO_COMMUTATIVE:
         if pseudo_variant not in _PSEUDO_COMMUTATIVE:
             raise ValueError(f"unknown pseudo variant {pseudo_variant!r}")
-        return _decide(L.table, None, _PSEUDO_COMMUTATIVE[pseudo_variant], range(L.size))
+        rows, lead = _PSEUDO_COMMUTATIVE[pseudo_variant]
+        return _decide(L.table, None, rows, range(L.size), lead)
     if kind in _SPECIAL:
-        return _decide(L.table, None, _SPECIAL[kind], range(L.size))
+        rows, lead = _SPECIAL[kind]
+        return _decide(L.table, None, rows, range(L.size), lead)
     if kind in (SpecialKind.INNER_COMMUTATIVE, SpecialKind.STRICTLY_INNER_COMMUTATIVE):
         if check_law(L, Law.COMMUTATIVE).holds:
             return Verdict(False, None, "loop itself is commutative")

@@ -29,6 +29,7 @@ from .core import (
     subloop_as_loop,
 )
 from .errors import (
+    BadIndex,
     NotASubgroup,
     NotIPLoop,
     NotNormal,
@@ -53,7 +54,6 @@ from .substructures import (
     _centre,
     _moufang_centre,
     _nucleus,
-    _pseudo_associators,
     all_subloops,
     first_normalizer,
     second_normalizer,
@@ -347,19 +347,20 @@ def relative_substructure(L: FiniteLoop, A: SubLoop, kind: RelativeKind):
     A = L itself.  Commutators range over pairs of A; associators collect the
     associators of all triples of L that happen to lie in A.  The relative
     pseudo-associator takes t in A and the strong form t anywhere in L, both
-    over associating triples from A.  Normalizers range over all of L and
-    return element sets; everything else returns a certified subloop.
+    over associating triples from A; A holds e, and (e, e, e) associates and
+    gives (ee)(te) = t = (et)(ee) for every t, so they are A and L.
+    Normalizers range over all of L and return element sets; everything else
+    returns a certified subloop.
     """
     if kind is RelativeKind.COMMUTATOR:
         gens = {commutator(L, x, y) for x in A.elements for y in A.elements}
         return generated_subloop(L, gens)
     if kind is RelativeKind.ASSOCIATOR:
         return generated_subloop(L, _associators(L) & A.as_set())
-    if kind in (RelativeKind.PSEUDO_ASSOCIATOR, RelativeKind.STRONGLY_PSEUDO_ASSOCIATOR):
-        candidates = (
-            A.elements if kind is RelativeKind.PSEUDO_ASSOCIATOR else range(L.size)
-        )
-        return generated_subloop(L, _pseudo_associators(L, A.elements, candidates, True))
+    if kind is RelativeKind.PSEUDO_ASSOCIATOR:
+        return A
+    if kind is RelativeKind.STRONGLY_PSEUDO_ASSOCIATOR:
+        return SubLoop(tuple(range(L.size)), L.size)
     if kind in _NUCLEUS_POSITIONS:
         return _nucleus(L, A.elements, _NUCLEUS_POSITIONS[kind])
     if kind is RelativeKind.MOUFANG_CENTRE:
@@ -549,25 +550,30 @@ def coset_cover_search(
     return sorted(solutions)
 
 
+def _check_q(L: FiniteLoop, q: int, within: SubLoop | None) -> None:
+    if within is not None and q not in within.elements:
+        raise QNotInSubloop(f"q={q} lies outside the supplied subloop")
+    if not 0 <= q < L.size:
+        raise BadIndex(f"q={q} out of range")
+
+
 def hyperloop(
     L: FiniteLoop, q: int, within: SubLoop | None = None
 ) -> frozenset[tuple[int, int]]:
     """The pair set {(x*y, (x*y)*q)} over all x, y.
 
-    When ``within`` is supplied, q must belong to it (the relative variant).
+    Every z is e*z, so the set is {(z, z*q)} over all z.  When ``within`` is
+    supplied, q must belong to it (the relative variant).
     """
-    if within is not None and q not in within.elements:
-        raise QNotInSubloop(f"q={q} lies outside the supplied subloop")
-    t = L.table
-    return frozenset((t[x][y], t[t[x][y]][q]) for x in range(L.size) for y in range(L.size))
+    _check_q(L, q, within)
+    return frozenset((z, row[q]) for z, row in enumerate(L.table))
 
 
 def a_hyperloop(
     L: FiniteLoop, q: int, within: SubLoop | None = None
 ) -> frozenset[tuple[int, int]]:
     """The pair set {(x*y, x*(y*q))} over all x, y."""
-    if within is not None and q not in within.elements:
-        raise QNotInSubloop(f"q={q} lies outside the supplied subloop")
+    _check_q(L, q, within)
     t = L.table
     return frozenset(
         (t[x][y], t[x][t[y][q]]) for x in range(L.size) for y in range(L.size)

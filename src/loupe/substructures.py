@@ -212,26 +212,6 @@ def _associators(L: FiniteLoop) -> set[int]:
     return gens
 
 
-def _pseudo_associates(t, a, b, c, w) -> bool:
-    """The pseudo-associative identity (ab)(wc) = (aw)(bc) at w over the triple (a, b, c)."""
-    return t[t[a][b]][t[w][c]] == t[t[a][w]][t[b][c]]
-
-
-def _pseudo_associators(L: FiniteLoop, domain, candidates, must_associate: bool) -> set[int]:
-    """The w in ``candidates`` with (ab)(wc) = (aw)(bc) for some triple over ``domain``.
-
-    With ``must_associate`` only triples with (ab)c = a(bc) count.
-    """
-    t = L.table
-    gens = set()
-    for a in domain:
-        for b in domain:
-            for c in domain:
-                if not must_associate or t[t[a][b]][c] == t[a][t[b][c]]:
-                    gens.update(w for w in candidates if _pseudo_associates(t, a, b, c, w))
-    return gens
-
-
 def derived_subloop(L: FiniteLoop, kind: DerivedKind) -> SubLoop:
     """Subloop generated by the defining element set of the chosen kind.
 
@@ -240,7 +220,9 @@ def derived_subloop(L: FiniteLoop, kind: DerivedKind) -> SubLoop:
     commuting pairs (a, b) and all x; the strong form collects p with
     (ax)b = (pb)(ax) over distinct pairs.  The pseudo-associator collects t
     with (ab)(tc) = (at)(bc) over associating triples (a, b, c); the strong
-    form drops the associativity restriction on the triple.
+    form drops the associativity restriction on the triple.  Both
+    pseudo-associator subloops are the whole loop: the triple (e, e, e)
+    associates and gives (ee)(te) = t = (et)(ee) for every t.
     """
     t = L.table
     size = L.size
@@ -269,9 +251,7 @@ def derived_subloop(L: FiniteLoop, kind: DerivedKind) -> SubLoop:
                     pb = L.rdiv(u, t[u][b])
                     gens.add(L.rdiv(b, pb))
     elif kind in (DerivedKind.PSEUDO_ASSOCIATOR, DerivedKind.STRONGLY_PSEUDO_ASSOCIATOR):
-        gens = _pseudo_associators(
-            L, range(size), range(size), kind is DerivedKind.PSEUDO_ASSOCIATOR
-        )
+        return SubLoop(tuple(range(size)), size)
     else:
         raise ValueError(f"unknown kind {kind}")
     return generated_subloop(L, gens)

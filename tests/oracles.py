@@ -613,6 +613,12 @@ def pseudo_associators_by_scan(L: FiniteLoop, domain, candidates, must_associate
     return gens
 
 
+def hyperloop_by_pairs(L: FiniteLoop, q: int) -> frozenset[tuple[int, int]]:
+    """The pair set {(x*y, (x*y)*q)} over all n^2 pairs (x, y)."""
+    t = L.table
+    return frozenset((t[x][y], t[t[x][y]][q]) for x in range(L.size) for y in range(L.size))
+
+
 def has_associative_triple_by_scan(sub: FiniteLoop) -> bool:
     """Some triple of distinct non-identity elements associates (the associative-triple S-law)."""
     t = sub.table

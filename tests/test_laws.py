@@ -12,6 +12,7 @@ import pytest
 from loupe import build_ln, core, cyclic_group, direct_product, symmetric_group
 from loupe.core import (
     associator,
+    certify_subloop,
     commutator,
     division,
     is_associative,
@@ -33,15 +34,17 @@ from loupe.identities import (
 )
 from loupe.isotopes import principal_isotope
 from loupe.smarandache import (
+    RelativeKind,
     SLaw,
     SMode,
     TripleLaw,
     _s_subloop_satisfies,
+    relative_substructure,
     s_law_check,
     s_substructures,
     special_triple,
 )
-from loupe.substructures import _pseudo_associators, all_subloops
+from loupe.substructures import DerivedKind, all_subloops, derived_subloop
 
 from oracles import (
     associator_by_scan,
@@ -211,22 +214,22 @@ def test_associativity_scan_has_one_owner(corpus, monkeypatch):
         scans.clear()
 
 
-def test_pseudo_associators_agree_with_scan(loops):
-    # a domain holding e admits every w through the triple (e, e, e), so most
-    # domains here leave it out
-    rng = random.Random(1987)
-    for name, L in loops:
+def test_pseudo_associators_agree_with_scan(corpus):
+    # a domain holding e admits every candidate through the triple (e, e, e),
+    # so both pseudo-associator subloops are A relative to A and L otherwise
+    for name, L in corpus.items():
         if L.size > 16:
             continue
-        others = range(1, L.size)
-        domains = [range(L.size), others] + [
-            sorted(rng.sample(others, k)) for k in range(1, L.size)
-        ]
-        for domain, must in product(domains, (False, True)):
-            assert _pseudo_associators(L, domain, domain, must) == pseudo_associators_by_scan(
-                L, domain, domain, must), (name, domain, must)
-            assert _pseudo_associators(L, domain, range(L.size), must) == (
-                pseudo_associators_by_scan(L, domain, range(L.size), must)), (name, domain, must)
+        whole = certify_subloop(L, range(L.size))
+        for kind in (DerivedKind.PSEUDO_ASSOCIATOR, DerivedKind.STRONGLY_PSEUDO_ASSOCIATOR):
+            assert derived_subloop(L, kind) == whole, (name, kind)
+        for A in census_by_extension(L).subloops:
+            for candidates, must in product((A.elements, range(L.size)), (False, True)):
+                assert pseudo_associators_by_scan(L, A.elements, candidates, must) == (
+                    set(candidates)), (name, A, must)
+            assert relative_substructure(L, A, RelativeKind.PSEUDO_ASSOCIATOR) == A, (name, A)
+            assert relative_substructure(
+                L, A, RelativeKind.STRONGLY_PSEUDO_ASSOCIATOR) == whole, (name, A)
 
 
 def test_special_triples_agree_with_formulas(loops):

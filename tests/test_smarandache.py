@@ -1,5 +1,7 @@
 """Subgroup-bearing structure: S-flags, relative substructures, cosets, hyperloops."""
 
+import random
+
 import pytest
 
 from loupe import (
@@ -13,7 +15,7 @@ from loupe import (
     h_subloop,
     symmetric_group,
 )
-from loupe.errors import NotASubgroup, NotPrime, QNotInSubloop, SearchCapExceeded
+from loupe.errors import BadIndex, NotASubgroup, NotPrime, QNotInSubloop, SearchCapExceeded
 from loupe.identities import Law, Verdict
 from loupe.smarandache import (
     RelativeKind,
@@ -39,6 +41,8 @@ from loupe.smarandache import (
     satisfies_sylow_criteria,
     special_triple,
 )
+
+from oracles import hyperloop_by_pairs, random_loop
 
 
 def test_is_s_loop(cloop12, corpus):
@@ -390,6 +394,25 @@ def test_hyperloop_families_partition_for_corpus(corpus):
         if L.size > 20:
             continue
         assert hyper_partition_check(L, "hyperloop").holds, name
+
+
+def test_hyperloop_agrees_with_pairs(corpus):
+    rng = random.Random(1999)
+    randoms = [random_loop(rng, 1 + i % 8, commutative=bool(i % 2)) for i in range(32)]
+    for L in list(corpus.values()) + randoms:
+        for q in range(L.size):
+            assert hyperloop(L, q) == hyperloop_by_pairs(L, q), (L.size, q)
+
+
+def test_hyperloop_rejects_q_out_of_range():
+    L = build_ln(5, 4)
+    for maker in (hyperloop, a_hyperloop):
+        for q in (L.size, -1):
+            with pytest.raises(BadIndex):
+                maker(L, q)
+        # a q outside the supplied subloop is reported as such, in range or not
+        with pytest.raises(QNotInSubloop):
+            maker(L, L.size, within=certify_subloop(L, [0, 1]))
 
 
 def test_a_hyperloop_families_do_not_partition():
