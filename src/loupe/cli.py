@@ -33,7 +33,6 @@ from .ln import (
 
 USAGE_ERRORS = (
     ValueError,
-    KeyError,
     FileNotFoundError,
     json.JSONDecodeError,
 )
@@ -44,6 +43,8 @@ def loop_to_json(L: FiniteLoop) -> dict:
 
 
 def loop_from_json(doc: dict) -> FiniteLoop:
+    if "table" not in doc:
+        raise ValueError("loop file has no 'table' field")
     L = validate_loop(doc["table"], doc.get("labels"))
     if L.size != doc.get("size", L.size):
         raise ValueError("size field disagrees with table")
@@ -76,7 +77,10 @@ def resolve_loop(args) -> FiniteLoop:
     if loop_path:
         return load_loop(loop_path)
     if ln_spec:
-        n, m = (int(tok) for tok in ln_spec.split(","))
+        try:
+            n, m = (int(tok) for tok in ln_spec.split(","))
+        except ValueError:
+            raise ValueError(f"--ln expects two integers N,M, got {ln_spec!r}") from None
         return build_ln(n, m)
     raise ValueError("supply a loop with --loop FILE or --ln N,M")
 

@@ -3,7 +3,7 @@
 Every cap is a hard bound: when a search or closure would exceed it the
 operation raises a ``CapExceeded`` subclass instead of returning partial
 results.  The ``LOUPE_CAPS`` environment variable overrides defaults with
-comma-separated ``key=value`` pairs, e.g. ``LOUPE_CAPS=census=10000,mlt=100000``.
+comma-separated ``key=value`` pairs, e.g. ``LOUPE_CAPS=census=10000,census_order=120``.
 """
 
 from __future__ import annotations
@@ -43,7 +43,10 @@ class Caps:
             key = key.strip()
             if key not in names:
                 raise ValueError(f"unknown cap {key!r} in LOUPE_CAPS")
-            overrides[key] = int(value)
+            try:
+                overrides[key] = int(value)
+            except ValueError:
+                raise ValueError(f"cap {key!r} in LOUPE_CAPS needs an integer value") from None
         return replace(caps, **overrides)
 
 

@@ -15,9 +15,10 @@ multiplication group with the sorted inner mapping group
 (``identities.inner_mapping_group``) and, under ``"div"``, the left and right
 division tables (``division``).  Every kernel that divides reads the same
 ``"div"`` tables, so they are immutable: no caller can corrupt another's
-quotients.  Each memo write stores the one value its key can have, so
-concurrent use over shared loops is safe: at worst two callers compute the
-same entry twice.
+quotients.  The memo lives exactly as long as its loop, and the constructors
+return a new loop on each call, so hold the loop to reuse its derived data.
+Each memo write stores the one value its key can have, so concurrent use over
+shared loops is safe: at worst two callers compute the same entry twice.
 
 Flags are inherited from the whole loop: in a group every subloop is a
 subgroup and normality conditions 2 and 3 are identities, so once the memoised
@@ -30,7 +31,6 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from functools import lru_cache
 from itertools import chain, permutations
 from math import lcm
 
@@ -460,7 +460,6 @@ def direct_product(L1: FiniteLoop, L2: FiniteLoop) -> FiniteLoop:
     return FiniteLoop(size=n1 * n2, table=tuple(rows), labels=labels)
 
 
-@lru_cache(maxsize=None)
 def cyclic_group(k: int) -> FiniteLoop:
     """The cyclic group of order k as a loop."""
     if k < 1:
@@ -469,7 +468,6 @@ def cyclic_group(k: int) -> FiniteLoop:
     return FiniteLoop(size=k, table=table, labels=default_labels(k))
 
 
-@lru_cache(maxsize=None)
 def symmetric_group(k: int) -> FiniteLoop:
     """The symmetric group on k letters; capped at degree 6 (order 720)."""
     if k < 1:

@@ -15,7 +15,6 @@ rest of the library checks against brute force.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from math import gcd
 
 from .core import CycleClass, FiniteLoop, SubLoop, default_labels, factorize
@@ -57,7 +56,6 @@ def _check_n(n: int) -> None:
         raise InvalidN(n)
 
 
-@lru_cache(maxsize=None)
 def build_ln(n: int, m: int) -> FiniteLoop:
     """The loop L_n(m) of order n+1 with identity e at index 0."""
     params = LnParams(n, m)

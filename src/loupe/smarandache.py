@@ -581,13 +581,19 @@ def a_hyperloop(
 
 
 def hyper_partition_check(L: FiniteLoop, variant: str = "hyperloop") -> Verdict:
-    """Do the pair sets over all q tile L x L without overlap?"""
-    maker = {"hyperloop": hyperloop, "a_hyperloop": a_hyperloop}.get(variant)
-    if maker is None:
+    """Do the pair sets over all q tile L x L without overlap?
+
+    The hyperloop sets always do, with no scan: the set for q is {(z, zq)},
+    so the pair (z, w) lies in the set of q = z\\w and in no other.  Only the
+    A-variant is scanned.
+    """
+    if variant == "hyperloop":
+        return Verdict(True)
+    if variant != "a_hyperloop":
         raise ValueError("variant must be 'hyperloop' or 'a_hyperloop'")
     seen: dict[tuple[int, int], int] = {}
     for q in range(L.size):
-        for pair in maker(L, q):
+        for pair in a_hyperloop(L, q):
             if pair in seen:
                 return Verdict(False, (pair, seen[pair], q), "overlapping pair")
             seen[pair] = q

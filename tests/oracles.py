@@ -10,8 +10,9 @@ are closed by composing in Python, inner-mapping laws are scanned over every
 inner mapping, each law, strict form and special property is decided by its
 own hand-written branch, lattice joins and covers are found by rescanning
 every node, enumerated colorings are filtered through their forced edge and
-revalidated, and one-factorizations are counted by filtering every matching
-through its anchor edge.
+revalidated, one-factorizations are counted by filtering every matching
+through its anchor edge, and hyperloop partitions are decided by scanning
+every pair set.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from loupe.errors import BadIndex, CapExceeded, ClosureBlowup, OddOrder, SizeCap
 from loupe.identities import PSEUDO_COMMUTATIVE_VARIANTS, Law, SpecialKind, StrictForm, Verdict
 from loupe.isotopes import principal_isotope
 from loupe.lattice import InclusionLattice, _is_sublattice
-from loupe.smarandache import TripleLaw
+from loupe.smarandache import TripleLaw, a_hyperloop, hyperloop
 from loupe.substructures import SubloopCensus
 
 
@@ -617,6 +618,22 @@ def hyperloop_by_pairs(L: FiniteLoop, q: int) -> frozenset[tuple[int, int]]:
     """The pair set {(x*y, (x*y)*q)} over all n^2 pairs (x, y)."""
     t = L.table
     return frozenset((t[x][y], t[t[x][y]][q]) for x in range(L.size) for y in range(L.size))
+
+
+def hyper_partition_check_by_scan(L: FiniteLoop, variant: str = "hyperloop") -> Verdict:
+    """Do the pair sets over all q tile L x L without overlap?  Every set is scanned."""
+    maker = {"hyperloop": hyperloop, "a_hyperloop": a_hyperloop}.get(variant)
+    if maker is None:
+        raise ValueError("variant must be 'hyperloop' or 'a_hyperloop'")
+    seen: dict[tuple[int, int], int] = {}
+    for q in range(L.size):
+        for pair in maker(L, q):
+            if pair in seen:
+                return Verdict(False, (pair, seen[pair], q), "overlapping pair")
+            seen[pair] = q
+    if len(seen) != L.size * L.size:
+        return Verdict(False, None, "union does not cover the square")
+    return Verdict(True)
 
 
 def has_associative_triple_by_scan(sub: FiniteLoop) -> bool:

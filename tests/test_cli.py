@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from loupe import build_ln, cyclic_group, direct_product, symmetric_group
+from loupe import build_ln, cyclic_group, direct_product, identities, symmetric_group
 from loupe.cli import load_loop, loop_from_json, loop_to_csv, loop_to_json, main
 from loupe.config import Caps
 
@@ -246,3 +246,40 @@ def test_report_rejects_bool_table(capsys, tmp_path):
     assert code == 2
     assert out == ""
     assert "False" in err
+
+
+@pytest.mark.parametrize("spec", ["5", "5,2,3", "a,b"])
+def test_ln_spec_names_the_expected_form(capsys, spec):
+    code, out, err = run(capsys, "report", "--ln", spec)
+    assert code == 2
+    assert out == ""
+    assert "N,M" in err
+
+
+def test_loop_file_without_table_names_the_field(capsys, tmp_path):
+    path = tmp_path / "empty.json"
+    path.write_text("{}")
+    code, out, err = run(capsys, "report", "--loop", str(path))
+    assert code == 2
+    assert out == ""
+    assert "'table' field" in err
+
+
+@pytest.mark.parametrize("raw", ["census", "census=", "census=many"])
+def test_caps_env_without_integer_names_the_key(monkeypatch, capsys, raw):
+    monkeypatch.setenv("LOUPE_CAPS", raw)
+    code, out, err = run(capsys, "substructures", "--ln", "5,2")
+    assert code == 2
+    assert out == ""
+    assert "'census'" in err and "integer" in err
+
+
+def test_kernel_key_error_is_internal(monkeypatch, capsys):
+    def broken(L, law):
+        raise KeyError("div")
+
+    monkeypatch.setattr(identities, "check_law", broken)
+    code, out, err = run(capsys, "check", "--ln", "5,2", "--law", "bol")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("internal error:")

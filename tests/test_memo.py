@@ -2,11 +2,13 @@
 signatures against fresh, brute-force answers."""
 
 import dataclasses
+import gc
 import random
+import weakref
 
 import pytest
 
-from loupe import Caps, build_ln
+from loupe import Caps, build_ln, cyclic_group, symmetric_group
 from loupe.core import (
     _greedy_generators,
     division,
@@ -69,6 +71,35 @@ def test_memo_is_ignored_by_equality_hashing_and_replace():
     assert warm == cold
     assert hash(warm) == hash(cold)
     assert repr(warm) == repr(cold)
+
+
+@pytest.mark.parametrize(
+    "construct",
+    [lambda: build_ln(15, 8), lambda: cyclic_group(6), lambda: symmetric_group(4)],
+    ids=["build_ln", "cyclic_group", "symmetric_group"],
+)
+def test_constructors_return_a_fresh_loop(construct):
+    warm = construct()
+    all_subloops(warm)
+    find_isomorphism(warm, warm)
+    division(warm)
+    assert warm._memo
+    fresh = construct()
+    assert fresh == warm
+    assert fresh is not warm
+    assert not fresh._memo
+
+
+def test_analysed_loop_dies_with_its_last_reference():
+    L = build_ln(15, 8)
+    all_subloops(L)
+    find_isomorphism(L, L)
+    division(L)
+    is_diassociative(L)
+    ref = weakref.ref(L)
+    del L
+    gc.collect()
+    assert ref() is None
 
 
 def _differential_loops(corpus):

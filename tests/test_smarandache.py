@@ -42,7 +42,7 @@ from loupe.smarandache import (
     special_triple,
 )
 
-from oracles import hyperloop_by_pairs, random_loop
+from oracles import hyper_partition_check_by_scan, hyperloop_by_pairs, random_loop
 
 
 def test_is_s_loop(cloop12, corpus):
@@ -402,6 +402,22 @@ def test_hyperloop_agrees_with_pairs(corpus):
     for L in list(corpus.values()) + randoms:
         for q in range(L.size):
             assert hyperloop(L, q) == hyperloop_by_pairs(L, q), (L.size, q)
+
+
+def test_hyper_partition_check_agrees_with_scan(corpus):
+    rng = random.Random(2003)
+    randoms = [random_loop(rng, 1 + i % 8, commutative=bool(i % 2)) for i in range(32)]
+    a_verdicts = set()
+    for L in list(corpus.values()) + randoms:
+        for variant in ("hyperloop", "a_hyperloop"):
+            expected = hyper_partition_check_by_scan(L, variant)
+            assert hyper_partition_check(L, variant) == expected, (L.size, variant)
+            if variant == "a_hyperloop":
+                a_verdicts.add(expected.holds)
+    # groups tile under the A-variant too, and some loop does not
+    assert a_verdicts == {True, False}
+    with pytest.raises(ValueError):
+        hyper_partition_check(cyclic_group(2), "hyper")
 
 
 def test_hyperloop_rejects_q_out_of_range():
