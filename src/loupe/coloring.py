@@ -5,6 +5,14 @@ the elements (a product of disjoint transpositions) and no two translations
 share an edge, so the 2n-1 of them split the C(2n, 2) edges of the complete
 graph into color classes: a proper (2n-1)-edge-coloring.  Conversely any
 such coloring rebuilds a loop of this kind, and the two counts agree.
+
+Both directions read the Cayley table directly.  Once x*x = e and the right
+alternative law hold, each R_a with a != e is a fixed-point-free involution
+((xa)a = x(aa) = x, and xa = x only when a = e), so edge {u, v} takes color
+u\\v.  K_n has a proper (n-1)-edge-coloring only when n is even, and then
+each class is a perfect matching holding one edge {0, v}; naming that class
+v writes a loop with identity 0.  No other naming does: column 0 is the
+identity map and every other column is fixed-point-free.
 """
 
 from __future__ import annotations
@@ -13,7 +21,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .config import DEFAULT_CAPS, Caps
-from .core import FiniteLoop, default_labels, validate_loop
+from .core import FiniteLoop, default_labels
 from .errors import (
     ImproperColoring,
     NotInvolutory,
@@ -22,20 +30,21 @@ from .errors import (
     SizeCapExceeded,
 )
 from .identities import Law, Verdict, check_law
-from .representation import cycles, right_regular_representation
 
 Edge = tuple[int, int]
 
 
 @dataclass(frozen=True)
 class EdgeColoring:
-    """A total assignment of colors 1..(n_vertices-1) to the edges of K_n."""
+    """Colors on the edges of K_n: each edge (u, v), u < v, once and in sorted order."""
 
     n_vertices: int
     color_of: tuple[tuple[Edge, int], ...]  # ((u, v), color) with u < v, sorted
 
-    def as_dict(self) -> dict[Edge, int]:
-        return dict(self.color_of)
+    def __post_init__(self):
+        edges = [edge for edge, _ in self.color_of]
+        if edges != list(combinations(range(self.n_vertices), 2)):
+            raise ValueError("coloring must assign every edge exactly once")
 
     @classmethod
     def from_dict(cls, n_vertices: int, mapping: dict[Edge, int]) -> "EdgeColoring":
@@ -45,9 +54,6 @@ class EdgeColoring:
                 raise ValueError("self-loops are not edges")
             key = (min(u, v), max(u, v))
             norm[key] = c
-        expected = {(u, v) for u, v in combinations(range(n_vertices), 2)}
-        if set(norm) != expected:
-            raise ValueError("coloring must assign every edge exactly once")
         return cls(n_vertices, tuple(sorted(norm.items())))
 
     def color_classes(self) -> dict[int, list[Edge]]:
@@ -69,8 +75,22 @@ def validate_proper(coloring: EdgeColoring) -> Verdict:
     return Verdict(True)
 
 
+def _loop_from_matchings(n: int, matchings) -> FiniteLoop:
+    """The loop whose column a swaps the ends of each edge in a's matching; column 0 is e.
+
+    ``matchings`` pairs each a != 0 with a perfect matching through {0, a};
+    partitioning K_n's edges, they make a Latin square with identity 0.
+    """
+    table = [[x] * n for x in range(n)]
+    for a, matching in matchings:
+        for u, v in matching:
+            table[u][a] = v
+            table[v][a] = u
+    return FiniteLoop(n, tuple(map(tuple, table)), default_labels(n))
+
+
 def loop_to_coloring(L: FiniteLoop) -> EdgeColoring:
-    """Color edge {x, y} by the element whose translation swaps x and y."""
+    """Color edge {u, v} by u\\v: past these checks R_a is an involution, so R_u\\v swaps them."""
     if L.size % 2 != 0:
         raise OddOrder(f"order {L.size} is odd")
     for x in range(L.size):
@@ -79,55 +99,28 @@ def loop_to_coloring(L: FiniteLoop) -> EdgeColoring:
     ralt = check_law(L, Law.RIGHT_ALTERNATIVE)
     if not ralt.holds:
         raise NotRightAlternative(ralt.witness)
-    mapping: dict[Edge, int] = {}
-    for a, perm in enumerate(right_regular_representation(L)):
-        if a == 0:
-            continue
-        for cyc in cycles(perm):
-            if len(cyc) == 1:
-                continue
-            if len(cyc) != 2:
-                raise NotRightAlternative((a,) + cyc)
-            u, v = sorted(cyc)
-            mapping[(u, v)] = a
-    return EdgeColoring.from_dict(L.size, mapping)
+    # row u holds v = u*a at column a = u\\v; no division memo is kept on L
+    color_of = (((u, v), a) for u, row in enumerate(L.table) for a, v in enumerate(row) if u < v)
+    return EdgeColoring(L.size, tuple(sorted(color_of)))
 
 
-def coloring_to_loop(
-    coloring: EdgeColoring, color_labels: dict[int, int] | None = None
-) -> FiniteLoop:
+def coloring_to_loop(coloring: EdgeColoring) -> FiniteLoop:
     """Rebuild the loop whose translations are the color classes.
 
-    ``color_labels`` maps each color to the non-identity element naming its
-    translation.  By default the class through vertex 0 on edge {0, v} is
-    labeled v, which makes vertex 0 the identity; a labeling inconsistent
-    with that star fails loop validation.
+    A proper coloring with n-1 colors makes each class a perfect matching
+    through one edge {0, v}; that class becomes R_v, and vertex 0 the identity.
     """
     proper = validate_proper(coloring)
     if not proper.holds:
         raise ImproperColoring(*proper.witness)
     n = coloring.n_vertices
+    if n == 0:
+        raise ValueError("coloring has no vertices; a loop needs at least one element")
     classes = coloring.color_classes()
     if len(classes) != n - 1:
-        raise ImproperColoring(-1, len(classes))
-    if color_labels is None:
-        color_labels = {}
-        for (u, v), c in coloring.color_of:
-            if u == 0:
-                color_labels[c] = v
-    if sorted(color_labels.values()) != list(range(1, n)):
-        raise ValueError("color labels must biject colors onto non-identity elements")
-    table = [[0] * n for _ in range(n)]
-    for x in range(n):
-        table[x][0] = x
-    for c, edges in classes.items():
-        a = color_labels[c]
-        if len(edges) * 2 != n:
-            raise ImproperColoring(-1, c)
-        for u, v in edges:
-            table[u][a] = v
-            table[v][a] = u
-    return validate_loop(table)
+        raise ValueError(f"K_{n} was given {len(classes)} colors where a loop needs {n - 1}")
+    # color_of is sorted, so each class starts with its edge {0, v}
+    return _loop_from_matchings(n, ((edges[0][1], edges) for edges in classes.values()))
 
 
 def _matchings(edges: list[Edge], vertices: tuple[int, ...]):
@@ -169,15 +162,7 @@ def enumerate_involutory_right_alt(
     def place(a: int):
         nonlocal nodes
         if a == order:
-            table = [[0] * order for _ in range(order)]
-            for x in range(order):
-                table[x][0] = x
-            for elem, matching in chosen.items():
-                for u, v in matching:
-                    table[u][elem] = v
-                    table[v][elem] = u
-            # edge-disjoint perfect matchings covering K_n form a Latin square with identity 0
-            solutions.append(FiniteLoop(order, tuple(map(tuple, table)), default_labels(order)))
+            solutions.append(_loop_from_matchings(order, chosen.items()))
             return
         free = [e for e in all_edges if e not in used and 0 not in e and a not in e]
         rest = tuple(v for v in range(1, order) if v != a)

@@ -408,9 +408,8 @@ def quotient_loop(L: FiniteLoop, N: SubLoop) -> FiniteLoop:
     for x in range(L.size):
         if x in coset_of:
             continue
+        # SubLoop holds 0, so x = e*x lies in its own coset
         block = tuple(sorted({t[h][x] for h in ns}))
-        if x not in block:
-            raise IllDefinedCosetProduct(f"coset of {x} misses {x}")
         for v in block:
             if v in coset_of:
                 raise IllDefinedCosetProduct(f"cosets overlap at {v}")

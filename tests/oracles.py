@@ -10,16 +10,17 @@ are closed by composing in Python, inner-mapping laws are scanned over every
 inner mapping, each law, strict form and special property is decided by its
 own hand-written branch, lattice joins and covers are found by rescanning
 every node, enumerated colorings are filtered through their forced edge and
-revalidated, one-factorizations are counted by filtering every matching
-through its anchor edge, and hyperloop partitions are decided by scanning
-every pair set.
+revalidated, loops are colored by walking the cycles of every translation,
+colorings are rebuilt into tables that are revalidated, one-factorizations
+are counted by filtering every matching through its anchor edge, and
+hyperloop partitions are decided by scanning every pair set.
 """
 
 from __future__ import annotations
 
 from itertools import combinations, permutations
 
-from loupe.coloring import Edge, _matchings
+from loupe.coloring import Edge, EdgeColoring, _matchings, validate_proper
 from loupe.config import DEFAULT_CAPS, Caps
 
 from loupe.core import (
@@ -32,10 +33,27 @@ from loupe.core import (
     subloop_as_loop,
     validate_loop,
 )
-from loupe.errors import BadIndex, CapExceeded, ClosureBlowup, OddOrder, SizeCapExceeded
-from loupe.identities import PSEUDO_COMMUTATIVE_VARIANTS, Law, SpecialKind, StrictForm, Verdict
+from loupe.errors import (
+    BadIndex,
+    CapExceeded,
+    ClosureBlowup,
+    ImproperColoring,
+    NotInvolutory,
+    NotRightAlternative,
+    OddOrder,
+    SizeCapExceeded,
+)
+from loupe.identities import (
+    PSEUDO_COMMUTATIVE_VARIANTS,
+    Law,
+    SpecialKind,
+    StrictForm,
+    Verdict,
+    check_law,
+)
 from loupe.isotopes import principal_isotope
 from loupe.lattice import InclusionLattice, _is_sublattice
+from loupe.representation import cycles, right_regular_representation
 from loupe.smarandache import TripleLaw, a_hyperloop, hyperloop
 from loupe.substructures import SubloopCensus
 
@@ -855,6 +873,69 @@ def enumerate_involutory_right_alt_by_validation(
 
     place(1)
     return solutions
+
+
+def loop_to_coloring_by_cycles(L: FiniteLoop) -> EdgeColoring:
+    """Color edge {x, y} by the element whose translation swaps x and y, found
+    by walking the cycles of every right translation."""
+    if L.size % 2 != 0:
+        raise OddOrder(f"order {L.size} is odd")
+    for x in range(L.size):
+        if L.table[x][x] != 0:
+            raise NotInvolutory(x)
+    ralt = check_law(L, Law.RIGHT_ALTERNATIVE)
+    if not ralt.holds:
+        raise NotRightAlternative(ralt.witness)
+    mapping: dict[Edge, int] = {}
+    for a, perm in enumerate(right_regular_representation(L)):
+        if a == 0:
+            continue
+        for cyc in cycles(perm):
+            if len(cyc) == 1:
+                continue
+            if len(cyc) != 2:
+                raise NotRightAlternative((a,) + cyc)
+            u, v = sorted(cyc)
+            mapping[(u, v)] = a
+    return EdgeColoring.from_dict(L.size, mapping)
+
+
+def coloring_to_loop_by_validation(
+    coloring: EdgeColoring, color_labels: dict[int, int] | None = None
+) -> FiniteLoop:
+    """Rebuild the loop whose translations are the color classes, checking each
+    class size and revalidating the table.
+
+    ``color_labels`` maps each color to the non-identity element naming its
+    translation.  By default the class through vertex 0 on edge {0, v} is
+    labeled v, which makes vertex 0 the identity; a labeling inconsistent
+    with that star fails loop validation.
+    """
+    proper = validate_proper(coloring)
+    if not proper.holds:
+        raise ImproperColoring(*proper.witness)
+    n = coloring.n_vertices
+    classes = coloring.color_classes()
+    if len(classes) != n - 1:
+        raise ImproperColoring(-1, len(classes))
+    if color_labels is None:
+        color_labels = {}
+        for (u, v), c in coloring.color_of:
+            if u == 0:
+                color_labels[c] = v
+    if sorted(color_labels.values()) != list(range(1, n)):
+        raise ValueError("color labels must biject colors onto non-identity elements")
+    table = [[0] * n for _ in range(n)]
+    for x in range(n):
+        table[x][0] = x
+    for c, edges in classes.items():
+        a = color_labels[c]
+        if len(edges) * 2 != n:
+            raise ImproperColoring(-1, c)
+        for u, v in edges:
+            table[u][a] = v
+            table[v][a] = u
+    return validate_loop(table)
 
 
 def count_one_factorizations_by_filter(n_vertices: int) -> int:

@@ -123,6 +123,21 @@ def test_color_commands(capsys, tmp_path):
     assert "right alternative" in err
 
 
+def test_color_to_loop_names_a_wrong_color_count(capsys, tmp_path):
+    # a proper coloring of K_4 with a fourth color: one class split in two
+    path = tmp_path / "coloring.txt"
+    path.write_text("0 1 0\n0 2 1\n0 3 2\n1 2 2\n1 3 1\n2 3 7\n")
+    code, out, err = run(capsys, "color", "to-loop", "--coloring", str(path))
+    assert code == 2
+    assert out == ""
+    assert err == "error: K_4 was given 4 colors where a loop needs 3\n"
+    path.write_text("")
+    code, out, err = run(capsys, "color", "to-loop", "--coloring", str(path))
+    assert code == 2
+    assert out == ""
+    assert err == "error: coloring has no vertices; a loop needs at least one element\n"
+
+
 def test_lattice_command(capsys):
     code, out, _ = run(capsys, "lattice", "--ln", "5,2", "--family", "subloops", "--format", "dot")
     assert code == 0

@@ -1,5 +1,8 @@
 """Loop/edge-coloring correspondence and the enumeration of both sides."""
 
+import random
+from itertools import combinations, permutations
+
 import pytest
 
 from loupe import build_ln, cyclic_group
@@ -15,6 +18,7 @@ from loupe.coloring import (
 )
 from loupe.errors import (
     ImproperColoring,
+    NoIdentity,
     NotInvolutory,
     NotRightAlternative,
     OddOrder,
@@ -23,8 +27,10 @@ from loupe.identities import Law, check_law
 from loupe.smarandache import is_s_loop
 
 from oracles import (
+    coloring_to_loop_by_validation,
     count_one_factorizations_by_filter,
     enumerate_involutory_right_alt_by_validation,
+    loop_to_coloring_by_cycles,
 )
 
 
@@ -138,3 +144,92 @@ def test_order_cap():
         enumerate_involutory_right_alt(5)
     with pytest.raises(SizeCapExceeded):
         enumerate_involutory_right_alt(8, Caps(color_search=100))
+
+
+def _loops_with_colorings():
+    for k in (2, 4, 6, 8):
+        yield from enumerate_involutory_right_alt(k)
+    for n in (5, 7, 9, 11, 13):
+        yield build_ln(n, 2)
+
+
+def test_table_reads_agree_with_cycle_and_validation_oracles():
+    # u\v off row u colors as the cycle walk does; the rebuilt table needs no revalidation
+    for L in _loops_with_colorings():
+        col = loop_to_coloring(L)
+        assert col.color_of == loop_to_coloring_by_cycles(L).color_of
+        back = coloring_to_loop(col)
+        assert back == coloring_to_loop_by_validation(col) == L
+
+
+def _outcome(build, col):
+    try:
+        return build(col)
+    except (ImproperColoring, ValueError):
+        return None
+
+
+def _random_colorings(rng):
+    """Proper colorings, renamed, split and merged classes, and random colors, for n <= 8."""
+    loops = [L for k in (2, 4, 6) for L in enumerate_involutory_right_alt(k)]
+    loops += rng.sample(enumerate_involutory_right_alt(8), 20)
+    for L in loops:
+        n = L.size
+        base = dict(loop_to_coloring(L).color_of)
+        edges = sorted(base)
+        yield EdgeColoring.from_dict(n, base)
+        names = rng.sample(range(-10, 60), n - 1)
+        yield EdgeColoring.from_dict(n, {e: names[c - 1] for e, c in base.items()})
+        split = rng.choice(edges)
+        yield EdgeColoring.from_dict(n, {**base, split: 99})
+        if n > 2:
+            a, b = rng.sample(range(1, n), 2)
+            yield EdgeColoring.from_dict(n, {e: a if c == b else c for e, c in base.items()})
+    for n in (3, 5, 7):
+        # a proper n-coloring of K_n for odd n: one color more than a loop allows
+        pairs = combinations(range(n), 2)
+        yield EdgeColoring.from_dict(n, {(u, v): (u + v) % n for u, v in pairs})
+    for n in range(9):
+        for _ in range(20):
+            pairs = combinations(range(n), 2)
+            yield EdgeColoring.from_dict(n, {e: rng.randrange(1, n + 1) for e in pairs})
+
+
+def test_coloring_to_loop_agrees_with_validation_oracle_on_random_colorings():
+    rng = random.Random(2003)
+    outcomes = set()
+    for col in _random_colorings(rng):
+        expected = _outcome(coloring_to_loop_by_validation, col)
+        assert _outcome(coloring_to_loop, col) == expected, col
+        outcomes.add(expected is None)
+    assert outcomes == {True, False}
+
+
+@pytest.mark.parametrize("order", [4, 6])
+def test_only_the_default_labeling_gives_a_loop(order):
+    # column 0 is the identity map and every other column is fixed-point-free,
+    # so 0 is the only candidate identity and row 0 pins the labels
+    for L in enumerate_involutory_right_alt(order):
+        col = loop_to_coloring(L)
+        default = {c: v for (u, v), c in col.color_of if u == 0}
+        colors = sorted(default)
+        for labels in permutations(range(1, order)):
+            labeling = dict(zip(colors, labels))
+            if labeling == default:
+                assert coloring_to_loop_by_validation(col, labeling) == L
+            else:
+                with pytest.raises(NoIdentity):
+                    coloring_to_loop_by_validation(col, labeling)
+
+
+def test_edge_coloring_requires_every_edge_once_in_order():
+    full = loop_to_coloring(build_ln(5, 2)).color_of
+    assert EdgeColoring(6, full).color_of == full
+    with pytest.raises(ValueError):
+        EdgeColoring(6, full[1:])  # edge (0, 1) missing
+    with pytest.raises(ValueError):
+        EdgeColoring(6, full + full[-1:])  # edge (4, 5) repeated
+    with pytest.raises(ValueError):
+        EdgeColoring(6, full[::-1])  # not sorted
+    with pytest.raises(ValueError):
+        EdgeColoring(6, (((1, 0), full[0][1]),) + full[1:])  # u > v
