@@ -218,12 +218,23 @@ def coloring_to_text(coloring: EdgeColoring) -> str:
 
 
 def coloring_from_text(text: str) -> EdgeColoring:
+    """Parse ``coloring_to_text`` lines, skipping blank ones; a line that is not three
+    integers, or an edge listed twice, raises ``ValueError`` naming the line."""
     mapping: dict[Edge, int] = {}
     vertices: set[int] = set()
-    for line in text.strip().splitlines():
-        if not line.strip():
+    for number, line in enumerate(text.splitlines(), 1):
+        tokens = line.split()
+        if not tokens:
             continue
-        u, v, c = (int(tok) for tok in line.split())
-        mapping[(min(u, v), max(u, v))] = c
+        try:
+            u, v, c = map(int, tokens)
+        except ValueError:
+            raise ValueError(
+                f"line {number}: expected 'u v color' (three integers), got {line.strip()!r}"
+            ) from None
+        edge = (min(u, v), max(u, v))
+        if edge in mapping:
+            raise ValueError(f"line {number}: edge {{{u}, {v}}} is listed twice")
+        mapping[edge] = c
         vertices.update((u, v))
     return EdgeColoring.from_dict(max(vertices) + 1 if vertices else 0, mapping)

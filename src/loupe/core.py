@@ -33,10 +33,10 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field
 from itertools import chain, permutations
 from math import lcm
+from operator import itemgetter
 
 from .errors import (
     BadIndex,
-    IllDefinedCosetProduct,
     LatinColumnViolation,
     LatinRowViolation,
     NoIdentity,
@@ -360,6 +360,16 @@ def is_commutative_subset(L: FiniteLoop, elems) -> bool:
     return True
 
 
+def _cosets(L: FiniteLoop, H: SubLoop, side: str, start: int = 0, stop: int | None = None):
+    """xH (``side`` "left") or Hx ("right") as a frozenset for each x in range(start, stop),
+    all of L by default, lazily: the one place loupe forms a coset."""
+    t = L.table
+    if side == "left":
+        # x = xe lies in xH, so the extra 0 only keeps each pick a tuple when H = {e}
+        return map(frozenset, map(itemgetter(0, *H.elements), t[start:stop]))
+    return map(frozenset, zip(*(t[h][start:stop] for h in H.elements)))
+
+
 def normality_witness(L: FiniteLoop, H: SubLoop) -> tuple[int, int, int | None] | None:
     """First violated normality condition for H, or None when H is normal.
 
@@ -371,13 +381,11 @@ def normality_witness(L: FiniteLoop, H: SubLoop) -> tuple[int, int, int | None] 
     for every x, ``cosets[z]`` is both zH and Hz.
     """
     t = L.table
-    hs = H.elements
-    if len(hs) in (1, L.size):
+    if len(H.elements) in (1, L.size):
         return None
     cosets = []
-    for x in range(L.size):
-        xh = {t[x][h] for h in hs}
-        if xh != {t[h][x] for h in hs}:
+    for x, (xh, hx) in enumerate(zip(_cosets(L, H, "left"), _cosets(L, H, "right"))):
+        if xh != hx:
             return (1, x, None)
         cosets.append(xh)
     if is_associative(L):
@@ -397,38 +405,20 @@ def normality_witness(L: FiniteLoop, H: SubLoop) -> tuple[int, int, int | None] 
 
 
 def quotient_loop(L: FiniteLoop, N: SubLoop) -> FiniteLoop:
-    """The loop on the coset partition {N*x} of a normal subloop N."""
+    """The loop on the coset partition {N*x} of a normal subloop N, not revalidated: the
+    cosets of a normal subloop partition L and multiply well-definedly (Bruck, *A Survey
+    of Binary Systems*, 1958).  Each block is listed, and its products read, at its
+    smallest element, so block 0 is N and the identity stays at index 0."""
     witness = normality_witness(L, N)
     if witness is not None:
         raise NotNormal(*witness)
     t = L.table
-    ns = N.elements
-    coset_of: dict[int, int] = {}
-    blocks: list[tuple[int, ...]] = []
-    for x in range(L.size):
-        if x in coset_of:
-            continue
-        # SubLoop holds 0, so x = e*x lies in its own coset
-        block = tuple(sorted({t[h][x] for h in ns}))
-        for v in block:
-            if v in coset_of:
-                raise IllDefinedCosetProduct(f"cosets overlap at {v}")
-            coset_of[v] = len(blocks)
-        blocks.append(block)
-    k = len(blocks)
-    table = [[0] * k for _ in range(k)]
-    for i, bi in enumerate(blocks):
-        for j, bj in enumerate(blocks):
-            expected = coset_of[t[bi[0]][bj[0]]]
-            for x in bi:
-                for y in bj:
-                    if coset_of[t[x][y]] != expected:
-                        raise IllDefinedCosetProduct(
-                            f"products of coset {i} by coset {j} straddle blocks"
-                        )
-            table[i][j] = expected
-    labels = tuple(L.render_subset(b) for b in blocks)
-    return validate_loop(table, labels)
+    blocks = list(dict.fromkeys(_cosets(L, N, "right")))
+    block_of = {x: i for i, block in enumerate(blocks) for x in block}
+    reps = [min(block) for block in blocks]
+    table = tuple(tuple(block_of[t[a][b]] for b in reps) for a in reps)
+    labels = tuple(map(L.render_subset, blocks))
+    return FiniteLoop(size=len(blocks), table=table, labels=labels)
 
 
 def direct_product(L1: FiniteLoop, L2: FiniteLoop) -> FiniteLoop:

@@ -48,10 +48,6 @@ class NotNormal(LoupeError):
         super().__init__(f"normality condition {condition} fails at x={x}, y={y}")
 
 
-class IllDefinedCosetProduct(LoupeError):
-    pass
-
-
 class InvalidParams(LoupeError):
     """Family parameters (n, m) violate a gcd or parity condition."""
 

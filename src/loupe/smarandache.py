@@ -13,11 +13,13 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 from itertools import permutations
+from operator import eq
 
 from .config import DEFAULT_CAPS, Caps
 from .core import (
     FiniteLoop,
     SubLoop,
+    _cosets,
     commutator,
     cyclic_closures,
     element_order,
@@ -94,7 +96,7 @@ def is_s_loop(L: FiniteLoop) -> Verdict:
 
 def is_normal_subgroup(L: FiniteLoop, A: SubLoop) -> bool:
     """mA = Am for every loop element m (the level-II normality condition)."""
-    return first_normalizer(L, A) == frozenset(range(L.size))
+    return all(map(eq, _cosets(L, A, "left"), _cosets(L, A, "right")))
 
 
 @dataclass(frozen=True)
@@ -480,13 +482,13 @@ def s_homomorphism_check(
     """Is the map a group homomorphism from A onto A2?
 
     Level II additionally requires both subgroups to be normal in their
-    parents (mA = Am for all m).
+    parents: the first m with mA != Am raises ``NotNormal(1, m)``.
     """
     for S, parent, name in ((A, L1, "domain"), (A2, L2, "codomain")):
         if not is_subgroup(parent, S):
             raise NotASubgroup(f"{name} subset is not a subgroup")
         if level_ii and not is_normal_subgroup(parent, S):
-            raise NotNormal(0, -1, None)
+            raise NotNormal(1, min(set(range(parent.size)) - first_normalizer(parent, S)))
     if set(mapping) != set(A.elements):
         return Verdict(False, None, "map does not cover the domain subgroup")
     if not set(mapping.values()) <= set(A2.elements):
@@ -500,18 +502,22 @@ def s_homomorphism_check(
     return Verdict(True)
 
 
-def right_coset(L: FiniteLoop, A: SubLoop, m: int) -> frozenset[int]:
-    """Am = {a*m : a in A} for a subgroup A."""
+def _coset(L: FiniteLoop, A: SubLoop, side: str, m: int) -> frozenset[int]:
     if not is_subgroup(L, A):
         raise NotASubgroup("cosets are defined relative to subgroups")
-    return frozenset(L.table[a][m] for a in A.elements)
+    if not 0 <= m < L.size:
+        raise BadIndex(f"m={m} out of range")
+    return next(_cosets(L, A, side, m, m + 1))
+
+
+def right_coset(L: FiniteLoop, A: SubLoop, m: int) -> frozenset[int]:
+    """Am = {a*m : a in A} for a subgroup A."""
+    return _coset(L, A, "right", m)
 
 
 def left_coset(L: FiniteLoop, A: SubLoop, m: int) -> frozenset[int]:
     """mA = {m*a : a in A} for a subgroup A."""
-    if not is_subgroup(L, A):
-        raise NotASubgroup("cosets are defined relative to subgroups")
-    return frozenset(L.table[m][a] for a in A.elements)
+    return _coset(L, A, "left", m)
 
 
 def coset_cover_search(
@@ -525,10 +531,11 @@ def coset_cover_search(
     """
     if side not in ("right", "left"):
         raise ValueError("side must be 'right' or 'left'")
-    coset = right_coset if side == "right" else left_coset
     if not is_subgroup(L, A):
         raise NotASubgroup("cosets are defined relative to subgroups")
-    cosets_by_rep = [coset(L, A, m) for m in range(L.size)]
+    rep_of: dict[frozenset[int], int] = {}
+    for m, block in enumerate(_cosets(L, A, side)):
+        rep_of.setdefault(block, m)
     solutions: list[tuple[int, ...]] = []
 
     def extend(covered: frozenset[int], reps: tuple[int, ...]):
@@ -538,13 +545,9 @@ def coset_cover_search(
             solutions.append(tuple(sorted(reps)))
             return
         pivot = min(x for x in range(L.size) if x not in covered)
-        seen_blocks: set[frozenset[int]] = set()
-        for m in range(L.size):
-            block = cosets_by_rep[m]
-            if pivot not in block or block & covered or block in seen_blocks:
-                continue
-            seen_blocks.add(block)
-            extend(covered | block, reps + (m,))
+        for block, m in rep_of.items():
+            if pivot in block and not block & covered:
+                extend(covered | block, reps + (m,))
 
     extend(frozenset(), ())
     return sorted(solutions)

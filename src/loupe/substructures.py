@@ -4,7 +4,7 @@ The census enumerates every subloop by closing single elements and then
 extending each found subloop by each outside element until a fixpoint: any
 subloop strictly containing a found one contains a one-element extension of
 it, so the process is complete.  An extension <S, g> is closed from S with
-only g queued, and is formed for one g per right translate gS.
+only g queued, and is formed for one g per left coset gS.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ from .core import (
     FiniteLoop,
     SubLoop,
     _close,
+    _cosets,
     associator,
     certify_subloop,
     commutator,
@@ -75,13 +76,12 @@ def all_subloops(L: FiniteLoop, caps: Caps = DEFAULT_CAPS) -> SubloopCensus:
             S = stack.pop()
             if not S.is_proper():
                 continue
-            # <S, g*s> = <S, g> for s in S (g = (g*s)/s), so one g per right translate
+            # <S, g*s> = <S, g> for s in S (g = (g*s)/s), so one g per left coset gS
             covered = set(S.elements)
             for g in range(L.size):
                 if g in covered:
                     continue
-                row = L.table[g]
-                covered.update(row[s] for s in S.elements)
+                covered.update(next(_cosets(L, S, "left", g, g + 1)))
                 T = _close(L, {*S.elements, g}, [g])
                 key = T.as_set()
                 if key not in found:
@@ -298,12 +298,8 @@ def derived_series_target(
 
 def first_normalizer(L: FiniteLoop, H: SubLoop) -> frozenset[int]:
     """{a : aH = Ha} as sets."""
-    t = L.table
-    hs = H.elements
-    h_rows = [t[h] for h in hs]
-    return frozenset(
-        a for a in range(L.size) if {t[a][h] for h in hs} == {row[a] for row in h_rows}
-    )
+    sides = zip(_cosets(L, H, "left"), _cosets(L, H, "right"))
+    return frozenset(a for a, (ah, ha) in enumerate(sides) if ah == ha)
 
 
 def second_normalizer(

@@ -12,8 +12,12 @@ own hand-written branch, lattice joins and covers are found by rescanning
 every node, enumerated colorings are filtered through their forced edge and
 revalidated, loops are colored by walking the cycles of every translation,
 colorings are rebuilt into tables that are revalidated, one-factorizations
-are counted by filtering every matching through its anchor edge, and
-hyperloop partitions are decided by scanning every pair set.
+are counted by filtering every matching through its anchor edge, hyperloop
+partitions are decided by scanning every pair set, and every coset is formed
+by its own formula: normalizers compare the two sides at each element, coset
+covers are searched over cosets written out from the table, and quotients
+check that the cosets are disjoint and multiply well-definedly, then
+revalidate the table.
 """
 
 from __future__ import annotations
@@ -38,9 +42,12 @@ from loupe.errors import (
     CapExceeded,
     ClosureBlowup,
     ImproperColoring,
+    NotASubgroup,
     NotInvolutory,
+    NotNormal,
     NotRightAlternative,
     OddOrder,
+    SearchCapExceeded,
     SizeCapExceeded,
 )
 from loupe.identities import (
@@ -350,6 +357,85 @@ def normality_witness_by_scan(L: FiniteLoop, H: SubLoop) -> tuple[int, int, int 
                 return (3, x, y)
     return None
 
+
+def first_normalizer_by_scan(L: FiniteLoop, H: SubLoop) -> frozenset[int]:
+    """{a : aH = Ha} as sets."""
+    t = L.table
+    hs = H.elements
+    h_rows = [t[h] for h in hs]
+    return frozenset(
+        a for a in range(L.size) if {t[a][h] for h in hs} == {row[a] for row in h_rows}
+    )
+
+
+def quotient_loop_by_validation(L: FiniteLoop, N: SubLoop) -> FiniteLoop:
+    """The loop on the coset partition {N*x} of a normal subloop N, with every
+    coset checked for overlaps and every coset product for being well defined;
+    normality is decided by ``normality_witness_by_scan``."""
+    witness = normality_witness_by_scan(L, N)
+    if witness is not None:
+        raise NotNormal(*witness)
+    t = L.table
+    ns = N.elements
+    coset_of: dict[int, int] = {}
+    blocks: list[tuple[int, ...]] = []
+    for x in range(L.size):
+        if x in coset_of:
+            continue
+        # SubLoop holds 0, so x = e*x lies in its own coset
+        block = tuple(sorted({t[h][x] for h in ns}))
+        for v in block:
+            if v in coset_of:
+                raise AssertionError(f"cosets overlap at {v}")
+            coset_of[v] = len(blocks)
+        blocks.append(block)
+    k = len(blocks)
+    table = [[0] * k for _ in range(k)]
+    for i, bi in enumerate(blocks):
+        for j, bj in enumerate(blocks):
+            expected = coset_of[t[bi[0]][bj[0]]]
+            for x in bi:
+                for y in bj:
+                    if coset_of[t[x][y]] != expected:
+                        raise AssertionError(
+                            f"products of coset {i} by coset {j} straddle blocks"
+                        )
+            table[i][j] = expected
+    labels = tuple(L.render_subset(b) for b in blocks)
+    return validate_loop(table, labels)
+
+
+def coset_cover_search_by_formula(
+    L: FiniteLoop, A: SubLoop, side: str = "right", caps: Caps = DEFAULT_CAPS
+) -> list[tuple[int, ...]]:
+    """Every exact cover of L by cosets of the subgroup A, each coset written
+    out from the table as {a*m} (right) or {m*a} (left)."""
+    if not is_associative_by_triples(L, A.elements):
+        raise NotASubgroup("cosets are defined relative to subgroups")
+    t = L.table
+    if side == "right":
+        cosets_by_rep = [frozenset(t[a][m] for a in A.elements) for m in range(L.size)]
+    else:
+        cosets_by_rep = [frozenset(t[m][a] for a in A.elements) for m in range(L.size)]
+    solutions: list[tuple[int, ...]] = []
+
+    def extend(covered: frozenset[int], reps: tuple[int, ...]):
+        if len(covered) == L.size:
+            if len(solutions) == caps.search:
+                raise SearchCapExceeded("coset covers", caps.search + 1, caps.search)
+            solutions.append(tuple(sorted(reps)))
+            return
+        pivot = min(x for x in range(L.size) if x not in covered)
+        seen_blocks: set[frozenset[int]] = set()
+        for m in range(L.size):
+            block = cosets_by_rep[m]
+            if pivot not in block or block & covered or block in seen_blocks:
+                continue
+            seen_blocks.add(block)
+            extend(covered | block, reps + (m,))
+
+    extend(frozenset(), ())
+    return sorted(solutions)
 
 _BINARY_LAWS = {
     Law.COMMUTATIVE: lambda t, x, y: t[x][y] == t[y][x],

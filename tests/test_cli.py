@@ -254,6 +254,33 @@ def test_coset_rejects_duplicate_labels(capsys, tmp_path):
     assert "distinct" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("report", "--loop"),
+    ("coset", "--subgroup", "e", "--loop"),
+    ("color", "to-loop", "--coloring"),
+])
+def test_directory_given_as_input_is_a_usage_error(capsys, tmp_path, argv):
+    code, out, err = run(capsys, *argv, str(tmp_path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "directory" in err
+
+
+@pytest.mark.parametrize("text, message", [
+    ("0 1 3\n0 2 2\n0 3 1\n1 2 1\n1 3 2\n2 3 3\n0 1 1\n", "line 7: edge {0, 1} is listed twice"),
+    ("0 1 0\n\n0 2\n", "line 3: expected 'u v color'"),
+    ("0 1 0 4\n", "line 1: expected 'u v color'"),
+    ("0 1 a\n", "line 1: expected 'u v color'"),
+], ids=["duplicate-edge", "two-tokens", "four-tokens", "not-an-integer"])
+def test_color_to_loop_rejects_malformed_lines(capsys, tmp_path, text, message):
+    path = tmp_path / "coloring.txt"
+    path.write_text(text)
+    code, out, err = run(capsys, "color", "to-loop", "--coloring", str(path))
+    assert code == 2
+    assert out == ""
+    assert message in err
+
+
 def test_report_rejects_bool_table(capsys, tmp_path):
     path = tmp_path / "bool.json"
     path.write_text('{"table": [[false, true], [true, false]]}')

@@ -15,7 +15,14 @@ from loupe import (
     h_subloop,
     symmetric_group,
 )
-from loupe.errors import BadIndex, NotASubgroup, NotPrime, QNotInSubloop, SearchCapExceeded
+from loupe.errors import (
+    BadIndex,
+    NotASubgroup,
+    NotNormal,
+    NotPrime,
+    QNotInSubloop,
+    SearchCapExceeded,
+)
 from loupe.identities import Law, Verdict
 from loupe.smarandache import (
     RelativeKind,
@@ -292,6 +299,19 @@ def test_s_homomorphism():
         s_homomorphism_check(build_ln(15, 2), L53, H, A, {})
 
 
+def test_level_ii_homomorphism_check_names_the_first_unnormal_element():
+    # in S_3, {e, 1} has equal cosets at e and 1, then 2A = {2, 4} but A2 = {2, 3}
+    L = symmetric_group(3)
+    A = certify_subloop(L, [0, 1])
+    assert s_homomorphism_check(L, L, A, A, {0: 0, 1: 1}).holds
+    with pytest.raises(NotNormal) as info:
+        s_homomorphism_check(L, L, A, A, {0: 0, 1: 1}, level_ii=True)
+    assert info.value.witness == (1, 2, None)
+    assert left_coset(L, A, 2) != right_coset(L, A, 2)
+    rotations = certify_subloop(L, [0, 3, 4])
+    assert s_homomorphism_check(L, L, rotations, rotations, {0: 0, 3: 3, 4: 4}, level_ii=True).holds
+
+
 def test_cosets_of_reference_loop():
     L = build_ln(5, 2)
     A = certify_subloop(L, [0, 1])
@@ -313,6 +333,10 @@ def test_cosets_of_reference_loop():
     assert right_coset(L, A, 0) == {0, 1}
     L98 = build_ln(9, 8)
     assert right_coset(L98, certify_subloop(L98, [0, 7]), 1) == {1, 4}
+    # a representative outside L is rejected, not wrapped round to the last element
+    for coset, m in ((right_coset, -1), (left_coset, -1), (right_coset, 6), (left_coset, 6)):
+        with pytest.raises(BadIndex):
+            coset(L, A, m)
 
 
 def test_cosets_of_commutative_order8_member():
