@@ -427,11 +427,9 @@ def cmd_hyperloop(args, caps: Caps) -> int:
 def cmd_coset(args, caps: Caps) -> int:
     L = resolve_loop(args)
     A = certify_subloop(L, parse_subset(L, args.subgroup))
-    coset = smarandache.right_coset if args.side == "right" else smarandache.left_coset
     lines = []
     doc = {"cosets": {}}
-    for m in range(L.size):
-        block = coset(L, A, m)
+    for m, block in enumerate(smarandache._subgroup_cosets(L, A, args.side)):
         lines.append(f"{L.labels[m]}: {L.render_subset(block)}")
         doc["cosets"][L.labels[m]] = sorted(block)
     if args.cover:

@@ -219,7 +219,8 @@ def coloring_to_text(coloring: EdgeColoring) -> str:
 
 def coloring_from_text(text: str) -> EdgeColoring:
     """Parse ``coloring_to_text`` lines, skipping blank ones; a line that is not three
-    integers, or an edge listed twice, raises ``ValueError`` naming the line."""
+    integers, a negative vertex or an edge listed twice raises ``ValueError``
+    naming the line."""
     mapping: dict[Edge, int] = {}
     vertices: set[int] = set()
     for number, line in enumerate(text.splitlines(), 1):
@@ -233,6 +234,8 @@ def coloring_from_text(text: str) -> EdgeColoring:
                 f"line {number}: expected 'u v color' (three integers), got {line.strip()!r}"
             ) from None
         edge = (min(u, v), max(u, v))
+        if edge[0] < 0:
+            raise ValueError(f"line {number}: vertex {edge[0]} is negative")
         if edge in mapping:
             raise ValueError(f"line {number}: edge {{{u}, {v}}} is listed twice")
         mapping[edge] = c

@@ -230,7 +230,10 @@ def is_power_associative(L: FiniteLoop) -> Verdict:
 
 def is_diassociative(L: FiniteLoop) -> Verdict:
     """Every pair of elements generates an associative subloop; (y, x) with y > x
-    generates what (x, y) does, so it passes unscanned."""
+    generates what (x, y) does, so it passes unscanned.  A subloop of a group
+    is a group, so a loop already recorded as associative holds unscanned."""
+    if known_associative(L):
+        return Verdict(True)
     return _decide(L.table, None, _law(2, lambda t, ld, x, y: (
         y < x or is_subgroup(L, generated_subloop(L, (x, y))))), range(L.size))
 

@@ -4,8 +4,9 @@ The (a, b)-isotope of a loop multiplies by x*y = X.Y where X.a = x and
 b.Y = y; its identity element is b.a.  A G-loop is isomorphic to every one
 of its principal isotopes.  Groups and Moufang loops are G-loops (Bruck,
 *A Survey of Binary Systems*, 1958), so ``is_g_loop`` decides them from
-theory with no isotope built; any other loop is compared with each isotope
-by ``find_isomorphism``, which maps a generating set and extends by products.
+theory with no isotope built; any other loop is compared with its 2n - 1
+isotopes (e, b) and (a, e) by ``find_isomorphism``, which maps a generating
+set and extends by products.
 """
 
 from __future__ import annotations
@@ -49,15 +50,20 @@ def is_g_loop(L: FiniteLoop, cap: int = DEFAULT_CAPS.search) -> Verdict:
     Groups and Moufang loops are G-loops (Bruck, 1958): L is one when the
     memoised ``is_subgroup`` verdict of the whole loop holds, or when the
     first Moufang law holds, since in a loop any one Moufang identity implies
-    the others.  Otherwise each isotope, in (a, b) order, goes to
-    ``find_isomorphism``, which maps one generating set of L.
+    the others.  Otherwise the 2n - 1 isotopes (e, b) and (a, e) go to
+    ``find_isomorphism``, which maps one generating set of L.  They suffice:
+    the (a, b)-isotope of L is the (a, ba)-isotope of L_1, the (a, e)-isotope,
+    whose identity is a.  An isomorphism L_1 -> L sends a to e, so it carries
+    that isotope to an (e, c)-isotope of L.  Hence L is a G-loop exactly when
+    it is isomorphic to every (e, b)- and (a, e)-isotope, and when it is not,
+    the first failing pair in (a, b) order is one of them.
     """
     if L.size * L.size > cap:
         raise CapExceeded("isotope pairs", L.size * L.size, cap)
     if is_associative(L) or check_law(L, Law.MOUFANG1):
         return Verdict(True)
     for a in range(L.size):
-        for b in range(L.size):
+        for b in range(L.size) if a == 0 else (0,):
             if find_isomorphism(L, principal_isotope(L, a, b)) is None:
                 return Verdict(False, (a, b))
     return Verdict(True)

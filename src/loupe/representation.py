@@ -123,13 +123,8 @@ def s_pseudo_representation(
     structures = smarandache.s_substructures(L, caps)
     if structures.s_subloops:
         raise HasSSubloops("loop has S-subloops; use s_representation instead")
-    census = smarandache.all_subloops(L, caps)
     perms = right_regular_representation(L)
-    return [
-        (B, [perms[b] for b in B.elements])
-        for B in census.subgroups()
-        if B.order >= 2 and B.is_proper()
-    ]
+    return [(B, [perms[b] for b in B.elements]) for B in smarandache._proper_subgroups(L, caps)]
 
 
 __all__ = [

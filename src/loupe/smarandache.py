@@ -62,36 +62,35 @@ from .substructures import (
 )
 
 
-def contains_proper_subgroup(L: FiniteLoop, A: SubLoop) -> bool:
-    """True when A has a subgroup of size >= 2 that is a proper subset of A.
+def _smallest_proper_group(L: FiniteLoop, A: SubLoop) -> SubLoop | None:
+    """The smallest cyclic group of order >= 2 properly inside A, by (order, elements).
 
-    Any such subgroup contains a cyclic one of size >= 2, so scanning the
-    closures of single elements of A decides the question.
+    Any group of order >= 2 holds a cyclic one of order >= 2, so the closures
+    of single elements of A decide whether A properly contains a group at all.
     """
     closures = cyclic_closures(L)
-    return any(closures[x][1] and 2 <= closures[x][0].order < A.order for x in A.elements)
+    return min(
+        (S for S, is_group in map(closures.__getitem__, A.elements)
+         if is_group and 2 <= S.order < A.order),
+        key=lambda S: (S.order, S.elements),
+        default=None,
+    )
 
 
 def is_s_subloop(L: FiniteLoop, A: SubLoop) -> bool:
-    """Proper subloop, not itself a group, containing a subgroup of size >= 2."""
-    if not A.is_proper() or A.order < 2:
-        return False
-    if is_subgroup(L, A):
-        return False
-    closures = cyclic_closures(L)
-    return any(closures[x][1] for x in A.elements if x != 0)
+    """Proper subloop, not itself a group, containing a subgroup of size >= 2.
+
+    Inside a non-group A every cyclic group is a proper subset, and only e
+    generates one of order below 2, so the one predicate decides the rest.
+    """
+    return A.is_proper() and not is_subgroup(L, A) and _smallest_proper_group(L, A) is not None
 
 
 def is_s_loop(L: FiniteLoop) -> Verdict:
-    """Does some proper subset of size >= 2 form a group?
-
-    Scans cyclic closures only: any subgroup of size >= 2 contains a cyclic
-    subgroup of size >= 2, so the smallest witness is found this way.
-    """
-    groups = [S for S, is_group in cyclic_closures(L) if is_group and 2 <= S.order < L.size]
-    if not groups:
-        return Verdict(False)
-    return Verdict(True, min(groups, key=lambda S: (S.order, S.elements)).elements)
+    """Does some proper subset of size >= 2 form a group?  Witness: the smallest
+    cyclic one, which is the smallest such group."""
+    S = _smallest_proper_group(L, SubLoop(tuple(range(L.size)), L.size))
+    return Verdict(False) if S is None else Verdict(True, S.elements)
 
 
 def is_normal_subgroup(L: FiniteLoop, A: SubLoop) -> bool:
@@ -110,19 +109,14 @@ class SSubstructures:
 def s_substructures(L: FiniteLoop, caps: Caps = DEFAULT_CAPS) -> SSubstructures:
     """S-subloops and S-normal subloops from the census.
 
-    An S-normal subloop is a nontrivial proper normal subloop containing a
-    subgroup of size >= 2; S-simple means none exists.  A subgroup loop is an
-    S-loop whose proper nontrivial subloops are all groups.
+    An S-normal subloop is a proper normal subloop containing a subgroup of
+    size >= 2 (never the trivial one); S-simple means none exists.  A
+    subgroup loop is an S-loop whose proper nontrivial subloops are all groups.
     """
     census = all_subloops(L, caps)
     s_subs = tuple(S for S in census.subloops if is_s_subloop(L, S))
     s_normal = tuple(
-        S
-        for S, normal in zip(census.subloops, census.normal_flags)
-        if normal
-        and S.is_proper()
-        and not S.is_trivial()
-        and contains_proper_subgroup(L, S)
+        S for S in census.normal_subloops() if S.is_proper() and _smallest_proper_group(L, S)
     )
     subgroup_loop = bool(is_s_loop(L)) and all(
         group
@@ -166,26 +160,6 @@ def is_s_cauchy_loop(L: FiniteLoop) -> Verdict:
     return Verdict(True)
 
 
-_FLAG_NAMES = (
-    "s_simple",
-    "s_subgroup_loop",
-    "s_cauchy",
-    "s_lagrange",
-    "s_weakly_lagrange",
-    "s_pseudo_lagrange",
-    "s_weakly_pseudo_lagrange",
-    "s_lagrange_criteria",
-    "s_sylow_criteria",
-    "s_commutative",
-    "s_strongly_commutative",
-    "s_cyclic",
-    "s_strongly_cyclic",
-    "s_loop_ii",
-    "s_lagrange_criteria_ii",
-    "s_sylow_criteria_ii",
-)
-
-
 @dataclass(frozen=True)
 class SReport:
     """All boolean Smarandache criteria of a loop plus their witnesses.
@@ -203,66 +177,53 @@ class SReport:
     witnesses: dict[str, object] = field(default_factory=dict)
 
 
+def _proper_subgroups(L: FiniteLoop, caps: Caps) -> list[SubLoop]:
+    """The census's proper subgroups of order >= 2, in census order."""
+    return [S for S in all_subloops(L, caps).subgroups() if S.order >= 2 and S.is_proper()]
+
+
 def s_classical_report(L: FiniteLoop, caps: Caps = DEFAULT_CAPS) -> SReport:
     """Compute every classical-style Smarandache flag by exhaustive scan."""
-    census = all_subloops(L, caps)
     structures = s_substructures(L, caps)
     sl = is_s_loop(L)
-    subgroups = [
-        S for S in census.subgroups() if S.order >= 2 and S.is_proper()
-    ]
-    normal_subgroups = [S for S in subgroups if is_normal_subgroup(L, S)]
-    size = L.size
-    flags: dict[str, bool] = {}
-    witnesses: dict[str, object] = {}
-
-    flags["s_simple"] = structures.s_simple
-    flags["s_subgroup_loop"] = structures.s_subgroup_loop
-
-    cauchy = is_s_cauchy_loop(L)
-    flags["s_cauchy"] = cauchy.holds
-    if not cauchy.holds:
-        witnesses["s_cauchy"] = cauchy.witness or cauchy.detail
-
-    bad_lagrange = next((S for S in subgroups if size % S.order != 0), None)
-    flags["s_lagrange"] = bool(subgroups) and bad_lagrange is None
-    if bad_lagrange is not None:
-        witnesses["s_lagrange"] = bad_lagrange.elements
-    flags["s_weakly_lagrange"] = any(size % S.order == 0 for S in subgroups)
-
+    subgroups = _proper_subgroups(L, caps)
+    normal = [S for S in subgroups if is_normal_subgroup(L, S)]
+    normal_orders = {S.order for S in normal}
     s_subs = structures.s_subloops
-    bad_pseudo = next((S for S in s_subs if size % S.order != 0), None)
-    flags["s_pseudo_lagrange"] = bool(s_subs) and bad_pseudo is None
-    if bad_pseudo is not None:
-        witnesses["s_pseudo_lagrange"] = bad_pseudo.elements
-    flags["s_weakly_pseudo_lagrange"] = any(size % S.order == 0 for S in s_subs)
-
-    flags["s_lagrange_criteria"] = sl.holds and flags["s_lagrange"]
-
+    size = L.size
+    cauchy = is_s_cauchy_loop(L)
     sylow = satisfies_sylow_criteria(L)
-    flags["s_sylow_criteria"] = sylow.holds
-    if not sylow.holds:
-        witnesses["s_sylow_criteria"] = sylow.witness
-
-    commutative = [S for S in subgroups if is_commutative_subset(L, S.elements)]
-    flags["s_commutative"] = bool(commutative)
-    flags["s_strongly_commutative"] = bool(subgroups) and len(commutative) == len(subgroups)
-    cyclic = [S for S in subgroups if is_cyclic_group(L, S)]
-    flags["s_cyclic"] = bool(cyclic)
-    flags["s_strongly_cyclic"] = bool(subgroups) and len(cyclic) == len(subgroups)
-
-    flags["s_loop_ii"] = bool(normal_subgroups)
-    if normal_subgroups:
-        witnesses["s_loop_ii"] = normal_subgroups[0].elements
-    flags["s_lagrange_criteria_ii"] = bool(normal_subgroups) and all(
-        size % S.order == 0 for S in normal_subgroups
-    )
-    normal_orders = {S.order for S in normal_subgroups}
-    flags["s_sylow_criteria_ii"] = all(
-        p in normal_orders for p, _ in factorize(size)
-    )
-
-    assert set(flags) == set(_FLAG_NAMES)
+    bad_lagrange = next((S for S in subgroups if size % S.order), None)
+    bad_pseudo = next((S for S in s_subs if size % S.order), None)
+    # a proper subgroup of order >= 2 makes L an S-loop, so the criterion is s_lagrange
+    lagrange = bool(subgroups) and bad_lagrange is None
+    commutative = sum(is_commutative_subset(L, S.elements) for S in subgroups)
+    cyclic = sum(is_cyclic_group(L, S) for S in subgroups)
+    flags = {
+        "s_simple": structures.s_simple,
+        "s_subgroup_loop": structures.s_subgroup_loop,
+        "s_cauchy": cauchy.holds,
+        "s_lagrange": lagrange,
+        "s_weakly_lagrange": any(size % S.order == 0 for S in subgroups),
+        "s_pseudo_lagrange": bool(s_subs) and bad_pseudo is None,
+        "s_weakly_pseudo_lagrange": any(size % S.order == 0 for S in s_subs),
+        "s_lagrange_criteria": lagrange,
+        "s_sylow_criteria": sylow.holds,
+        "s_commutative": commutative > 0,
+        "s_strongly_commutative": bool(subgroups) and commutative == len(subgroups),
+        "s_cyclic": cyclic > 0,
+        "s_strongly_cyclic": bool(subgroups) and cyclic == len(subgroups),
+        "s_loop_ii": bool(normal),
+        "s_lagrange_criteria_ii": bool(normal) and all(size % S.order == 0 for S in normal),
+        "s_sylow_criteria_ii": all(p in normal_orders for p, _ in factorize(size)),
+    }
+    witnesses = {name: w for name, w in (
+        ("s_cauchy", None if cauchy.holds else cauchy.witness or cauchy.detail),
+        ("s_lagrange", bad_lagrange and bad_lagrange.elements),
+        ("s_pseudo_lagrange", bad_pseudo and bad_pseudo.elements),
+        ("s_sylow_criteria", None if sylow.holds else sylow.witness),
+        ("s_loop_ii", normal[0].elements if normal else None),
+    ) if w is not None}
     return SReport(
         is_s_loop=sl.holds,
         witness_subgroup=sl.witness,
@@ -292,29 +253,18 @@ def s_p_sylow(L: FiniteLoop, p: int, caps: Caps = DEFAULT_CAPS) -> SylowReport:
         raise NotPrime(f"{p} is not prime")
     if L.size % p != 0:
         raise NotPrime(f"{p} does not divide the loop order {L.size}")
-    census = all_subloops(L, caps)
     structures = s_substructures(L, caps)
     order_p = tuple(S for S in structures.s_subloops if S.order == p)
-    pairs = []
-    subgroups = [S for S in census.subgroups() if S.order == p]
-    for A in structures.s_subloops:
-        if A.order % p != 0:
-            continue
-        inside = A.as_set()
-        for B in subgroups:
-            if B.as_set() <= inside:
-                pairs.append((A, B))
-    strong = structures.s_subgroup_loop
-    if strong:
-        for S in census.subgroups():
-            if S.order < 2 or not S.is_proper():
-                continue
-            order = S.order
-            while order % p == 0:
-                order //= p
-            if order != 1 or L.size % S.order != 0:
-                strong = False
-                break
+    subgroups = _proper_subgroups(L, caps)
+    # an order-p subgroup inside a proper S-subloop is itself proper
+    pairs = [
+        (A, B)
+        for A in structures.s_subloops if A.order % p == 0
+        for B in subgroups if B.order == p and B.as_set() <= A.as_set()
+    ]
+    strong = structures.s_subgroup_loop and all(
+        L.size % S.order == 0 and [q for q, _ in factorize(S.order)] == [p] for S in subgroups
+    )
     return SylowReport(order_p, tuple(pairs), strong)
 
 
@@ -502,12 +452,19 @@ def s_homomorphism_check(
     return Verdict(True)
 
 
-def _coset(L: FiniteLoop, A: SubLoop, side: str, m: int) -> frozenset[int]:
+def _subgroup_cosets(L: FiniteLoop, A: SubLoop, side: str, start: int = 0, stop=None):
+    """mA (``side`` "left") or Am for each m in range(start, stop), all of L by
+    default, read lazily from ``core._cosets``; ``NotASubgroup`` unless A is a subgroup."""
     if not is_subgroup(L, A):
         raise NotASubgroup("cosets are defined relative to subgroups")
+    return _cosets(L, A, side, start, stop)
+
+
+def _coset(L: FiniteLoop, A: SubLoop, side: str, m: int) -> frozenset[int]:
+    cosets = _subgroup_cosets(L, A, side, m, m + 1)  # a non-subgroup fails before a bad m
     if not 0 <= m < L.size:
         raise BadIndex(f"m={m} out of range")
-    return next(_cosets(L, A, side, m, m + 1))
+    return next(cosets)
 
 
 def right_coset(L: FiniteLoop, A: SubLoop, m: int) -> frozenset[int]:
@@ -531,10 +488,8 @@ def coset_cover_search(
     """
     if side not in ("right", "left"):
         raise ValueError("side must be 'right' or 'left'")
-    if not is_subgroup(L, A):
-        raise NotASubgroup("cosets are defined relative to subgroups")
     rep_of: dict[frozenset[int], int] = {}
-    for m, block in enumerate(_cosets(L, A, side)):
+    for m, block in enumerate(_subgroup_cosets(L, A, side)):
         rep_of.setdefault(block, m)
     solutions: list[tuple[int, ...]] = []
 

@@ -17,13 +17,18 @@ partitions are decided by scanning every pair set, and every coset is formed
 by its own formula: normalizers compare the two sides at each element, coset
 covers are searched over cosets written out from the table, and quotients
 check that the cosets are disjoint and multiply well-definedly, then
-revalidate the table.
+revalidate the table.  The S-layer oracles write each filter out where it is
+used: "proper subgroup of order >= 2" in the report, the Sylow test and the
+pseudo-representation, and "holds a proper cyclic group" three times over,
+with the report's flag names checked against a list.
 """
 
 from __future__ import annotations
 
+import random
 from itertools import combinations, permutations
 
+from loupe import build_ln, cyclic_group, direct_product, symmetric_group
 from loupe.coloring import Edge, EdgeColoring, _matchings, validate_proper
 from loupe.config import DEFAULT_CAPS, Caps
 
@@ -32,8 +37,12 @@ from loupe.core import (
     SubLoop,
     certify_subloop,
     compose,
+    cyclic_closures,
+    factorize,
     generated_subloop,
     is_commutative_subset,
+    is_cyclic_group,
+    is_subgroup,
     subloop_as_loop,
     validate_loop,
 )
@@ -41,10 +50,12 @@ from loupe.errors import (
     BadIndex,
     CapExceeded,
     ClosureBlowup,
+    HasSSubloops,
     ImproperColoring,
     NotASubgroup,
     NotInvolutory,
     NotNormal,
+    NotPrime,
     NotRightAlternative,
     OddOrder,
     SearchCapExceeded,
@@ -60,9 +71,19 @@ from loupe.identities import (
 )
 from loupe.isotopes import principal_isotope
 from loupe.lattice import InclusionLattice, _is_sublattice
-from loupe.representation import cycles, right_regular_representation
-from loupe.smarandache import TripleLaw, a_hyperloop, hyperloop
-from loupe.substructures import SubloopCensus
+from loupe.representation import Permutation, cycles, right_regular_representation
+from loupe.smarandache import (
+    SReport,
+    SSubstructures,
+    SylowReport,
+    TripleLaw,
+    a_hyperloop,
+    hyperloop,
+    is_normal_subgroup,
+    is_s_cauchy_loop,
+    satisfies_sylow_criteria,
+)
+from loupe.substructures import SubloopCensus, all_subloops
 
 
 def is_associative_by_triples(L: FiniteLoop, elems) -> bool:
@@ -294,6 +315,212 @@ def is_s_loop_by_closures(L: FiniteLoop) -> Verdict:
     if best is None:
         return Verdict(False)
     return Verdict(True, best.elements)
+
+
+def contains_proper_subgroup_by_filter(L: FiniteLoop, A: SubLoop) -> bool:
+    """True when A has a subgroup of size >= 2 that is a proper subset of A.
+
+    Any such subgroup contains a cyclic one of size >= 2, so scanning the
+    closures of single elements of A decides the question.
+    """
+    closures = cyclic_closures(L)
+    return any(closures[x][1] and 2 <= closures[x][0].order < A.order for x in A.elements)
+
+
+def is_s_subloop_by_filter(L: FiniteLoop, A: SubLoop) -> bool:
+    """Proper subloop, not itself a group, containing a subgroup of size >= 2."""
+    if not A.is_proper() or A.order < 2:
+        return False
+    if is_subgroup(L, A):
+        return False
+    closures = cyclic_closures(L)
+    return any(closures[x][1] for x in A.elements if x != 0)
+
+
+def is_s_loop_by_filter(L: FiniteLoop) -> Verdict:
+    """Does some proper subset of size >= 2 form a group?
+
+    Scans cyclic closures only: any subgroup of size >= 2 contains a cyclic
+    subgroup of size >= 2, so the smallest witness is found this way.
+    """
+    groups = [S for S, is_group in cyclic_closures(L) if is_group and 2 <= S.order < L.size]
+    if not groups:
+        return Verdict(False)
+    return Verdict(True, min(groups, key=lambda S: (S.order, S.elements)).elements)
+
+
+def s_substructures_by_filter(L: FiniteLoop, caps: Caps = DEFAULT_CAPS) -> SSubstructures:
+    """S-subloops and S-normal subloops from the census.
+
+    An S-normal subloop is a nontrivial proper normal subloop containing a
+    subgroup of size >= 2; S-simple means none exists.  A subgroup loop is an
+    S-loop whose proper nontrivial subloops are all groups.
+    """
+    census = all_subloops(L, caps)
+    s_subs = tuple(S for S in census.subloops if is_s_subloop_by_filter(L, S))
+    s_normal = tuple(
+        S
+        for S, normal in zip(census.subloops, census.normal_flags)
+        if normal
+        and S.is_proper()
+        and not S.is_trivial()
+        and contains_proper_subgroup_by_filter(L, S)
+    )
+    subgroup_loop = bool(is_s_loop_by_filter(L)) and all(
+        group
+        for S, group in zip(census.subloops, census.subgroup_flags)
+        if S.is_proper() and not S.is_trivial()
+    )
+    return SSubstructures(
+        s_subloops=s_subs,
+        s_normal_subloops=s_normal,
+        s_simple=not s_normal,
+        s_subgroup_loop=subgroup_loop,
+    )
+
+
+_FLAG_NAMES = (
+    "s_simple",
+    "s_subgroup_loop",
+    "s_cauchy",
+    "s_lagrange",
+    "s_weakly_lagrange",
+    "s_pseudo_lagrange",
+    "s_weakly_pseudo_lagrange",
+    "s_lagrange_criteria",
+    "s_sylow_criteria",
+    "s_commutative",
+    "s_strongly_commutative",
+    "s_cyclic",
+    "s_strongly_cyclic",
+    "s_loop_ii",
+    "s_lagrange_criteria_ii",
+    "s_sylow_criteria_ii",
+)
+
+
+def s_classical_report_by_filter(L: FiniteLoop, caps: Caps = DEFAULT_CAPS) -> SReport:
+    """Compute every classical-style Smarandache flag by exhaustive scan."""
+    census = all_subloops(L, caps)
+    structures = s_substructures_by_filter(L, caps)
+    sl = is_s_loop_by_filter(L)
+    subgroups = [
+        S for S in census.subgroups() if S.order >= 2 and S.is_proper()
+    ]
+    normal_subgroups = [S for S in subgroups if is_normal_subgroup(L, S)]
+    size = L.size
+    flags: dict[str, bool] = {}
+    witnesses: dict[str, object] = {}
+
+    flags["s_simple"] = structures.s_simple
+    flags["s_subgroup_loop"] = structures.s_subgroup_loop
+
+    cauchy = is_s_cauchy_loop(L)
+    flags["s_cauchy"] = cauchy.holds
+    if not cauchy.holds:
+        witnesses["s_cauchy"] = cauchy.witness or cauchy.detail
+
+    bad_lagrange = next((S for S in subgroups if size % S.order != 0), None)
+    flags["s_lagrange"] = bool(subgroups) and bad_lagrange is None
+    if bad_lagrange is not None:
+        witnesses["s_lagrange"] = bad_lagrange.elements
+    flags["s_weakly_lagrange"] = any(size % S.order == 0 for S in subgroups)
+
+    s_subs = structures.s_subloops
+    bad_pseudo = next((S for S in s_subs if size % S.order != 0), None)
+    flags["s_pseudo_lagrange"] = bool(s_subs) and bad_pseudo is None
+    if bad_pseudo is not None:
+        witnesses["s_pseudo_lagrange"] = bad_pseudo.elements
+    flags["s_weakly_pseudo_lagrange"] = any(size % S.order == 0 for S in s_subs)
+
+    flags["s_lagrange_criteria"] = sl.holds and flags["s_lagrange"]
+
+    sylow = satisfies_sylow_criteria(L)
+    flags["s_sylow_criteria"] = sylow.holds
+    if not sylow.holds:
+        witnesses["s_sylow_criteria"] = sylow.witness
+
+    commutative = [S for S in subgroups if is_commutative_subset(L, S.elements)]
+    flags["s_commutative"] = bool(commutative)
+    flags["s_strongly_commutative"] = bool(subgroups) and len(commutative) == len(subgroups)
+    cyclic = [S for S in subgroups if is_cyclic_group(L, S)]
+    flags["s_cyclic"] = bool(cyclic)
+    flags["s_strongly_cyclic"] = bool(subgroups) and len(cyclic) == len(subgroups)
+
+    flags["s_loop_ii"] = bool(normal_subgroups)
+    if normal_subgroups:
+        witnesses["s_loop_ii"] = normal_subgroups[0].elements
+    flags["s_lagrange_criteria_ii"] = bool(normal_subgroups) and all(
+        size % S.order == 0 for S in normal_subgroups
+    )
+    normal_orders = {S.order for S in normal_subgroups}
+    flags["s_sylow_criteria_ii"] = all(
+        p in normal_orders for p, _ in factorize(size)
+    )
+
+    assert set(flags) == set(_FLAG_NAMES)
+    return SReport(
+        is_s_loop=sl.holds,
+        witness_subgroup=sl.witness,
+        s_subloops=s_subs,
+        s_normal_subloops=structures.s_normal_subloops,
+        flags=flags,
+        witnesses=witnesses,
+    )
+
+
+def s_p_sylow_by_filter(L: FiniteLoop, p: int, caps: Caps = DEFAULT_CAPS) -> SylowReport:
+    """Sylow-style structure relative to a prime p dividing |L|.
+
+    Returns the S-subloops of order exactly p, the (A, B) pairs where B is an
+    order-p subgroup inside an S-subloop A with p dividing |A|, and whether
+    the loop is a subgroup loop in which every subgroup has p-power order
+    dividing |L|.
+    """
+    if p < 2 or factorize(p) != [(p, 1)]:
+        raise NotPrime(f"{p} is not prime")
+    if L.size % p != 0:
+        raise NotPrime(f"{p} does not divide the loop order {L.size}")
+    census = all_subloops(L, caps)
+    structures = s_substructures_by_filter(L, caps)
+    order_p = tuple(S for S in structures.s_subloops if S.order == p)
+    pairs = []
+    subgroups = [S for S in census.subgroups() if S.order == p]
+    for A in structures.s_subloops:
+        if A.order % p != 0:
+            continue
+        inside = A.as_set()
+        for B in subgroups:
+            if B.as_set() <= inside:
+                pairs.append((A, B))
+    strong = structures.s_subgroup_loop
+    if strong:
+        for S in census.subgroups():
+            if S.order < 2 or not S.is_proper():
+                continue
+            order = S.order
+            while order % p == 0:
+                order //= p
+            if order != 1 or L.size % S.order != 0:
+                strong = False
+                break
+    return SylowReport(order_p, tuple(pairs), strong)
+
+
+def s_pseudo_representation_by_filter(
+    L: FiniteLoop, caps: Caps = DEFAULT_CAPS
+) -> list[tuple[SubLoop, list[Permutation]]]:
+    """Per-subgroup translation sets for an S-loop with no S-subloops."""
+    structures = s_substructures_by_filter(L, caps)
+    if structures.s_subloops:
+        raise HasSSubloops("loop has S-subloops; use s_representation instead")
+    census = all_subloops(L, caps)
+    perms = right_regular_representation(L)
+    return [
+        (B, [perms[b] for b in B.elements])
+        for B in census.subgroups()
+        if B.order >= 2 and B.is_proper()
+    ]
 
 
 def multiplication_group_by_closure(L: FiniteLoop, cap: int) -> list[tuple[int, ...]]:
@@ -1087,3 +1314,10 @@ def random_loop(rng, n: int, commutative: bool = False, involutory: bool = False
 
     fill(0)
     return validate_loop(table)
+
+
+def random_products(seed: int = 1) -> list[FiniteLoop]:
+    """Seeded random loops of orders 2-6 times C_2, C_3, S_3 and L_5(2)."""
+    rng = random.Random(seed)
+    factors = (cyclic_group(2), cyclic_group(3), symmetric_group(3), build_ln(5, 2))
+    return [direct_product(random_loop(rng, n), F) for n in range(2, 7) for F in factors]

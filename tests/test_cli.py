@@ -182,6 +182,29 @@ def test_coset_command(capsys):
     assert "covers: {e,2,5}; {e,3,4}" in out
 
 
+def test_coset_command_checks_the_subgroup_once(capsys, monkeypatch):
+    from loupe import smarandache
+
+    checked = []
+    is_subgroup = smarandache.is_subgroup
+    monkeypatch.setattr(
+        smarandache, "is_subgroup", lambda L, S: checked.append(S) or is_subgroup(L, S)
+    )
+    code, out, _ = run(capsys, "coset", "--ln", "5,2", "--subgroup", "e,1", "--side", "left")
+    assert code == 0
+    assert out.splitlines() == ["e: {e,1}", "1: {e,1}", "2: {2,5}", "3: {3,4}", "4: {3,4}",
+                                "5: {2,5}"]
+    assert len(checked) == 1
+
+
+def test_coset_command_rejects_a_subloop_that_is_no_group(capsys):
+    # an S-subloop of L_15(2): closed, but not associative
+    code, out, err = run(capsys, "coset", "--ln", "15,2", "--subgroup", "0,1,4,7,10,13")
+    assert code == 2
+    assert out == ""
+    assert err == "error: cosets are defined relative to subgroups\n"
+
+
 def test_report_on_trivial_loop(capsys, tmp_path):
     path = tmp_path / "trivial.csv"
     path.write_text("0\n")
@@ -271,7 +294,10 @@ def test_directory_given_as_input_is_a_usage_error(capsys, tmp_path, argv):
     ("0 1 0\n\n0 2\n", "line 3: expected 'u v color'"),
     ("0 1 0 4\n", "line 1: expected 'u v color'"),
     ("0 1 a\n", "line 1: expected 'u v color'"),
-], ids=["duplicate-edge", "two-tokens", "four-tokens", "not-an-integer"])
+    ("-1 0 0\n", "line 1: vertex -1 is negative"),
+    ("0 1 0\n2 -3 1\n", "line 2: vertex -3 is negative"),
+], ids=["duplicate-edge", "two-tokens", "four-tokens", "not-an-integer", "negative-u",
+        "negative-v"])
 def test_color_to_loop_rejects_malformed_lines(capsys, tmp_path, text, message):
     path = tmp_path / "coloring.txt"
     path.write_text(text)

@@ -1,11 +1,8 @@
 """One coset kernel: normalizers, level-II normality and its witness, coset covers
 and quotients agree with oracles that write every coset out from the table."""
 
-import random
-
 import pytest
 
-from loupe import build_ln, cyclic_group, direct_product, symmetric_group
 from loupe.core import FiniteLoop, quotient_loop
 from loupe.errors import CapExceeded, NotASubgroup, NotNormal
 from loupe.smarandache import coset_cover_search, is_normal_subgroup, s_homomorphism_check
@@ -17,15 +14,8 @@ from oracles import (
     is_associative_by_triples,
     normality_witness_by_scan,
     quotient_loop_by_validation,
-    random_loop,
+    random_products,
 )
-
-
-def _random_products() -> list[FiniteLoop]:
-    """Seeded random loops of orders 2-6 times C_2, C_3, S_3 and L_5(2)."""
-    rng = random.Random(1)
-    factors = (cyclic_group(2), cyclic_group(3), symmetric_group(3), build_ln(5, 2))
-    return [direct_product(random_loop(rng, n), F) for n in range(2, 7) for F in factors]
 
 
 def _search(search, L, S, side):
@@ -40,7 +30,7 @@ def test_coset_kernel_agrees_with_formula_oracles(corpus, warm):
     """Cold runs each kernel on a copy of the loop with an empty memo; warm runs
     it on the loop itself after ``all_subloops``."""
     nontrivial_proper_normal = 0
-    for L in [*corpus.values(), *_random_products()]:
+    for L in [*corpus.values(), *random_products()]:
         for S in all_subloops(L).subloops:
             M = L if warm else FiniteLoop(size=L.size, table=L.table, labels=L.labels)
             witness = normality_witness_by_scan(L, S)

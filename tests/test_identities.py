@@ -3,6 +3,7 @@
 import pytest
 
 from loupe import build_ln, cyclic_group, direct_product, symmetric_group
+from loupe.core import associativity_failure
 from loupe.errors import NotIPLoop
 from loupe.identities import (
     Law,
@@ -112,6 +113,13 @@ def test_diassociativity_decides_each_distinct_subloop_once():
     G = direct_product(symmetric_group(4), cyclic_group(2))
     assert is_diassociative(G).holds
     assert len(G._memo["subgroup"]) == 91
+
+
+def test_diassociativity_holds_unscanned_in_a_known_group():
+    G = direct_product(symmetric_group(4), cyclic_group(2))
+    assert associativity_failure(G) is None
+    assert is_diassociative(G).holds
+    assert list(G._memo["subgroup"]) == [tuple(range(G.size))]  # no pair closed
 
 
 def test_power_associative_orders_unambiguous(corpus):

@@ -1,6 +1,8 @@
 """Principal isotopes, the G-loop decision, and subloop-level isotopes."""
 
 import dataclasses
+import random
+from collections import Counter
 
 import pytest
 
@@ -12,12 +14,14 @@ from loupe import (
     symmetric_group,
     validate_loop,
 )
+from loupe.coloring import enumerate_involutory_right_alt
 from loupe.core import is_associative
 from loupe.errors import BadIndex, CapExceeded
 from loupe.identities import Law, StrictForm, check_law, check_strict
+from loupe import isotopes
 from loupe.isotopes import is_g_loop, is_s_g_loop, principal_isotope, s_principal_isotope
 
-from oracles import is_g_loop_by_backtrack, is_g_loop_by_isotopes
+from oracles import is_g_loop_by_backtrack, is_g_loop_by_isotopes, random_loop
 
 # (4, e)-isotope of the commutative order-6 member, written over the original
 # element order (identity sits at the original element 4)
@@ -112,7 +116,8 @@ def test_non_associative_moufang_loop_is_a_g_loop(chein_s3):
 
 
 # A non-associative, non-Moufang loop of order 6 that is still a G-loop (found by
-# random search): is_g_loop can only decide it by testing every isotope.
+# random search): no theory shortcut applies, so is_g_loop decides it by testing
+# its 2n - 1 = 11 isotopes (e, b) and (a, e).
 G_LOOP_6_TABLE = [
     [0, 1, 2, 3, 4, 5],
     [1, 3, 5, 2, 0, 4],
@@ -129,6 +134,32 @@ def test_g_loop_outside_theory_agrees_with_oracles():
     expected = is_g_loop_by_backtrack(L)
     assert expected.holds
     assert is_g_loop(validate_loop(G_LOOP_6_TABLE)) == expected == is_g_loop_by_isotopes(L)
+
+
+def test_g_loop_builds_only_the_one_sided_isotopes(monkeypatch):
+    built = []
+    monkeypatch.setattr(
+        isotopes, "principal_isotope",
+        lambda L, a, b: built.append((a, b)) or principal_isotope(L, a, b),
+    )
+    assert is_g_loop(validate_loop(G_LOOP_6_TABLE)).holds
+    assert len(built) == 11
+    assert built == [(0, b) for b in range(6)] + [(a, 0) for a in range(1, 6)]
+
+
+def test_g_loop_agrees_with_backtracking_oracle_on_random_loops():
+    """Every isotope pair is searched by the oracle.  Random loops first fail at an
+    (e, b)-isotope; the involutory right-alternative loops of order 6 at (1, e)."""
+    rng = random.Random(7)
+    loops = [random_loop(rng, n) for n in range(5, 8) for _ in range(20)]
+    loops += [random_loop(rng, n, commutative=True) for n in range(5, 8) for _ in range(10)]
+    loops += enumerate_involutory_right_alt(6)
+    kinds = Counter()
+    for L in loops:
+        expected = is_g_loop_by_backtrack(L)
+        assert is_g_loop(L) == expected, L.table
+        kinds["g-loop" if expected else "(e, b)" if expected.witness[0] == 0 else "(a, e)"] += 1
+    assert len(kinds) == 3, kinds
 
 
 def test_g_loop_cap_comes_before_theory():

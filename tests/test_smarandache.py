@@ -6,6 +6,7 @@ import pytest
 
 from loupe import (
     Caps,
+    FiniteLoop,
     LnParams,
     build_ln,
     certify_subloop,
@@ -15,8 +16,10 @@ from loupe import (
     h_subloop,
     symmetric_group,
 )
+from loupe.core import factorize
 from loupe.errors import (
     BadIndex,
+    HasSSubloops,
     NotASubgroup,
     NotNormal,
     NotPrime,
@@ -24,6 +27,7 @@ from loupe.errors import (
     SearchCapExceeded,
 )
 from loupe.identities import Law, Verdict
+from loupe.representation import s_pseudo_representation
 from loupe.smarandache import (
     RelativeKind,
     SLaw,
@@ -48,8 +52,20 @@ from loupe.smarandache import (
     satisfies_sylow_criteria,
     special_triple,
 )
+from loupe.substructures import all_subloops
 
-from oracles import hyper_partition_check_by_scan, hyperloop_by_pairs, random_loop
+from oracles import (
+    hyper_partition_check_by_scan,
+    hyperloop_by_pairs,
+    is_s_loop_by_filter,
+    is_s_subloop_by_filter,
+    random_loop,
+    random_products,
+    s_classical_report_by_filter,
+    s_p_sylow_by_filter,
+    s_pseudo_representation_by_filter,
+    s_substructures_by_filter,
+)
 
 
 def test_is_s_loop(cloop12, corpus):
@@ -523,3 +539,70 @@ def test_is_cyclic_group():
     # a loop that is not a group is never a cyclic group
     L = build_ln(5, 2)
     assert not is_cyclic_group(L, whole(L))
+
+
+# the order in which the CLI prints the report's flags
+FLAG_NAMES = (
+    "s_simple",
+    "s_subgroup_loop",
+    "s_cauchy",
+    "s_lagrange",
+    "s_weakly_lagrange",
+    "s_pseudo_lagrange",
+    "s_weakly_pseudo_lagrange",
+    "s_lagrange_criteria",
+    "s_sylow_criteria",
+    "s_commutative",
+    "s_strongly_commutative",
+    "s_cyclic",
+    "s_strongly_cyclic",
+    "s_loop_ii",
+    "s_lagrange_criteria_ii",
+    "s_sylow_criteria_ii",
+)
+
+
+def test_report_sets_every_flag_in_printed_order(corpus):
+    for name, L in corpus.items():
+        flags = s_classical_report(L).flags
+        assert tuple(flags) == FLAG_NAMES, name
+        assert all(type(value) is bool for value in flags.values()), name
+
+
+def _pseudo_representation(function, L):
+    try:
+        return function(L)
+    except HasSSubloops:
+        return HasSSubloops
+
+
+@pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+def test_s_layer_agrees_with_filter_oracles(corpus, warm):
+    """Cold runs each function on a copy of the loop with an empty memo; warm runs
+    it on the loop itself after ``all_subloops``.  The oracles get their own copy."""
+    met = {"s_subloops": 0, "s_normal": 0, "pseudo": 0}
+    for where, L in [*corpus.items(), *enumerate(random_products())]:
+        if warm:
+            all_subloops(L)
+
+        def subject() -> FiniteLoop:
+            return L if warm else FiniteLoop(size=L.size, table=L.table, labels=L.labels)
+
+        R = FiniteLoop(size=L.size, table=L.table, labels=L.labels)
+        assert is_s_loop(subject()) == is_s_loop_by_filter(R), where
+        for S in all_subloops(R).subloops:
+            assert is_s_subloop(subject(), S) == is_s_subloop_by_filter(R, S), (where, S)
+        structures = s_substructures(subject())
+        assert structures == s_substructures_by_filter(R), where
+        report, expected = s_classical_report(subject()), s_classical_report_by_filter(R)
+        assert report == expected, where
+        assert list(report.flags) == list(expected.flags), where
+        assert list(report.witnesses) == list(expected.witnesses), where
+        for p, _ in factorize(L.size):
+            assert s_p_sylow(subject(), p) == s_p_sylow_by_filter(R, p), (where, p)
+        pseudo = _pseudo_representation(s_pseudo_representation, subject())
+        assert pseudo == _pseudo_representation(s_pseudo_representation_by_filter, R), where
+        met["s_subloops"] += bool(structures.s_subloops)
+        met["s_normal"] += bool(structures.s_normal_subloops)
+        met["pseudo"] += pseudo is not HasSSubloops and bool(pseudo)
+    assert all(met.values()), met
