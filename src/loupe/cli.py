@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cache
 
 from . import coloring as coloring_mod
 from . import identities, isotopes, lattice as lattice_mod, representation, smarandache, substructures
@@ -444,7 +445,11 @@ def cmd_coset(args, caps: Caps) -> int:
     return 0
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: ``parse_args`` fills a fresh
+    namespace from the parser's defaults on every call, so no option of one call
+    carries over to the next."""
     parser = argparse.ArgumentParser(
         prog="loupe", description="computational algebra for finite loops"
     )
@@ -523,8 +528,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         caps = Caps.from_env()
     except ValueError as exc:

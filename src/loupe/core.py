@@ -24,7 +24,10 @@ Flags are inherited from the whole loop: in a group every subloop is a
 subgroup and normality conditions 2 and 3 are identities, so once the memoised
 ``is_associative`` verdict holds, ``is_subgroup`` records each subloop as a
 subgroup with no scan and ``normality_witness`` stops after condition 1.  The
-census decides that verdict before any flag.
+census decides that verdict before any flag.  The verdict of the whole loop
+comes from Light's associativity test over a generating set (n^2 table reads
+per generator); the ordered n^3 triple scan runs on the whole loop only to find
+the first witness of a loop that fails it.
 """
 
 from __future__ import annotations
@@ -312,31 +315,58 @@ def is_subgroup(L: FiniteLoop, S: SubLoop) -> bool:
     A subloop of a group is a group: once the entry of the whole loop holds,
     S is recorded as a subgroup with no scan.
     """
+    if len(S.elements) == L.size:
+        return is_associative(L)
     flags = L._memo.setdefault("subgroup", {})
     flag = flags.get(S.elements)
     if flag is None:
-        whole = flags.get(tuple(range(L.size)))
-        flag = flags[S.elements] = whole or _associativity_failure(L.table, S.elements) is None
+        flag = flags[S.elements] = (
+            known_associative(L) or _associativity_failure(L.table, S.elements) is None
+        )
     return flag
 
 
 def known_associative(L: FiniteLoop) -> bool | None:
-    """The recorded associativity verdict of the whole loop; None until a scan decides it."""
+    """The recorded associativity verdict of the whole loop; None until it is decided."""
     return L._memo.get("subgroup", {}).get(tuple(range(L.size)))
 
 
 def associativity_failure(L: FiniteLoop) -> tuple[int, int, int] | None:
-    """First triple of L, in lexicographic order, with (xy)z != x(yz), or None in a group;
-    records the verdict of the whole loop that ``known_associative`` reads."""
-    whole = tuple(range(L.size))
-    w = _associativity_failure(L.table, whole)
-    L._memo.setdefault("subgroup", {})[whole] = w is None
-    return w
+    """First triple of L, in lexicographic order, with (xy)z != x(yz), or None in a group.
+
+    The verdict comes from ``is_associative`` (Light's test, recorded once per
+    loop); only a failing verdict runs the ordered scan, for its first witness.
+    """
+    return None if is_associative(L) else _associativity_failure(L.table, range(L.size))
+
+
+def _light_associative(L: FiniteLoop) -> bool:
+    """Light's associativity test (Clifford & Preston, *The Algebraic Theory of
+    Semigroups* I, 1961, section 1.2) over ``_greedy_generators(L)``.
+
+    The elements a with (xy)a = x(ya) for all x, y form a product-closed set,
+    and in a finite loop a product-closed set holding a generating set is the
+    whole loop; so L is a group iff every generator passes.  A generator a
+    passes when, for each x, row x read at column a equals column a read at
+    row x: n^2 table reads per generator.
+    """
+    t = L.table
+    for a in _greedy_generators(L):
+        col = tuple(row[a] for row in t)  # col[z] = za
+        at_ya = itemgetter(*col)  # picks the entry at column ya, for every y, off a row
+        for row in t:  # row x: (xy)a is col[row[y]], x(ya) is row[col[y]]
+            if tuple(map(col.__getitem__, row)) != at_ya(row):
+                return False
+    return True
 
 
 def _associativity_failure(t, elems) -> tuple[int, int, int] | None:
     """First triple over ``elems``, in their order, with (xy)z != x(yz); None if none fails.
 
+    For the whole loop this is only the witness path: ``is_associative``
+    decides the verdict by Light's test and ``associativity_failure`` scans
+    only a loop that fails it.  ``is_subgroup`` (for a proper subset of a
+    loop not known to be a group) and ``power_ambiguity`` scan their subsets.
     Hand-written rather than a row of ``identities._first_failure``: the
     whole-loop scan of S_5 takes 0.27 s through that driver against 0.11 s
     here (medians of 5, 2-vCPU Xeon, Python 3.11.7).
@@ -362,7 +392,10 @@ def is_commutative_subset(L: FiniteLoop, elems) -> bool:
 
 def _cosets(L: FiniteLoop, H: SubLoop, side: str, start: int = 0, stop: int | None = None):
     """xH (``side`` "left") or Hx ("right") as a frozenset for each x in range(start, stop),
-    all of L by default, lazily: the one place loupe forms a coset."""
+    all of L by default, lazily: the one place loupe forms a coset as a set.  The
+    census coset search (``substructures._coset_search``) only merges right cosets
+    into a union, so it reads each off H's rows as a list: the S_5 census takes
+    0.10 s that way against 0.13 s through this kernel (2-vCPU Xeon, Python 3.11.7)."""
     t = L.table
     if side == "left":
         # x = xe lies in xH, so the extra 0 only keeps each pick a tuple when H = {e}
@@ -634,9 +667,11 @@ def power_ambiguity(L: FiniteLoop, x: int) -> tuple[int, int, int] | None:
 
 
 def is_associative(L: FiniteLoop) -> bool:
-    """Whether L is a group: the recorded verdict, else decided by ``associativity_failure``."""
+    """Whether L is a group: the recorded verdict, else decided by Light's test and recorded."""
     known = known_associative(L)
-    return associativity_failure(L) is None if known is None else known
+    if known is None:
+        known = L._memo.setdefault("subgroup", {})[tuple(range(L.size))] = _light_associative(L)
+    return known
 
 
 def compose(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:

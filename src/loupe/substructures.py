@@ -3,8 +3,10 @@
 The census enumerates every subloop by closing single elements and then
 extending each found subloop by each outside element until a fixpoint: any
 subloop strictly containing a found one contains a one-element extension of
-it, so the process is complete.  An extension <S, g> is closed from S with
-only g queued, and is formed for one g per left coset gS.
+it, so the process is complete.  An extension <S, g> is formed for one g per
+left coset gS.  In a group it is found by a coset search over the generators
+of S and g (``_coset_search``); in any other loop it is closed from S with
+only g queued.
 """
 
 from __future__ import annotations
@@ -54,26 +56,29 @@ def _canonical(subs) -> list[SubLoop]:
 def all_subloops(L: FiniteLoop, caps: Caps = DEFAULT_CAPS) -> SubloopCensus:
     """Fixpoint enumeration of all subloops of L, memoised on L.
 
-    The associativity of L is decided before anything else, so in a group
-    every subgroup flag, and normality conditions 2 and 3, follow from that
-    one scan (see ``is_subgroup`` and ``normality_witness``).  The caps apply
-    on every call, memoised or not.
+    The associativity of L is decided before anything else, by Light's test,
+    so in a group every subgroup flag, and normality conditions 2 and 3,
+    follow from that one verdict (see ``is_subgroup`` and
+    ``normality_witness``), and each extension is a coset search.  Each
+    subloop is carried with the generators it was found from: (x,) for <x>
+    and those of S plus g for <S, g>.  The caps apply on every call,
+    memoised or not.
     """
     if L.size > caps.census_order:
         raise CapExceeded("census order", L.size, caps.census_order)
     census = L._memo.get("census")
     if census is None:
         # decided first: in a group every flag below then follows without a scan
-        is_associative(L)
+        group = is_associative(L)
         found: dict[frozenset[int], SubLoop] = {}
-        stack: list[SubLoop] = []
-        for S, _ in cyclic_closures(L):
+        stack: list[tuple[SubLoop, tuple[int, ...]]] = []  # each subloop with its generators
+        for x, (S, _) in enumerate(cyclic_closures(L)):
             key = S.as_set()
             if key not in found:
                 found[key] = S
-                stack.append(S)
+                stack.append((S, (x,)))
         while stack:
-            S = stack.pop()
+            S, gens = stack.pop()
             if not S.is_proper():
                 continue
             # <S, g*s> = <S, g> for s in S (g = (g*s)/s), so one g per left coset gS
@@ -82,13 +87,14 @@ def all_subloops(L: FiniteLoop, caps: Caps = DEFAULT_CAPS) -> SubloopCensus:
                 if g in covered:
                     continue
                 covered.update(next(_cosets(L, S, "left", g, g + 1)))
-                T = _close(L, {*S.elements, g}, [g])
+                t_gens = gens + (g,)
+                T = _coset_search(L, S, t_gens) if group else _close(L, {*S.elements, g}, [g])
                 key = T.as_set()
                 if key not in found:
                     if len(found) >= caps.census:
                         raise CapExceeded("census size", caps.census + 1, caps.census)
                     found[key] = T
-                    stack.append(T)
+                    stack.append((T, t_gens))
         subs = _canonical(found.values())
         census = L._memo["census"] = SubloopCensus(
             subloops=tuple(subs),
@@ -98,6 +104,36 @@ def all_subloops(L: FiniteLoop, caps: Caps = DEFAULT_CAPS) -> SubloopCensus:
     if len(census.subloops) > caps.census:
         raise CapExceeded("census size", caps.census + 1, caps.census)
     return census
+
+
+def _coset_search(L: FiniteLoop, S: SubLoop, gens: tuple[int, ...]) -> SubLoop:
+    """The subgroup of a group L generated by ``gens`` (generators of S and one more
+    element), as a union of right cosets S*v.
+
+    The subgroup generated by a set X is the orbit of e under right
+    multiplication by X.  Starting from S = S*e, each representative is
+    multiplied by each generator, and each product w outside the cosets found
+    so far adds its whole coset S*w, read off S's rows at column w.  The union
+    is then closed under every generator a: for s in S and a representative v,
+    (s*v)*a = s*(v*a), and v*a lies in some found coset S*w, so s*(v*a) does
+    too.  A subgroup of more than half of L is L (Lagrange).
+    """
+    size = L.size
+    half = size // 2
+    table = L.table
+    rows = [table[s] for s in S.elements]
+    elems = set(S.elements)
+    reps = [0]
+    for v in reps:
+        row = table[v]
+        for a in gens:
+            w = row[a]
+            if w not in elems:
+                elems.update([r[w] for r in rows])
+                if len(elems) > half:
+                    return SubLoop(tuple(range(size)), size)
+                reps.append(w)
+    return SubLoop(tuple(sorted(elems)), size)
 
 
 def is_normal_subloop(L: FiniteLoop, H: SubLoop):

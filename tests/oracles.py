@@ -1,7 +1,8 @@
 """Brute-force reference implementations the library's fast paths are checked against.
 
 Each oracle recomputes from the table alone, with no memoised data: closures
-are formed afresh, associativity is a triple scan, division scans a row or a
+are formed afresh, a group's census closes every extension by the all-pairs
+product fixpoint rather than a coset search, associativity is a triple scan, division scans a row or a
 column, element orders are found by walking powers, isomorphisms are searched
 without invariant pruning or by backtracking over every element rather than a
 generating set, G-loops are decided by searching every isotope with no
@@ -35,14 +36,18 @@ from loupe.config import DEFAULT_CAPS, Caps
 from loupe.core import (
     FiniteLoop,
     SubLoop,
+    _close,
+    _cosets,
     certify_subloop,
     compose,
     cyclic_closures,
     factorize,
     generated_subloop,
     is_commutative_subset,
+    is_associative,
     is_cyclic_group,
     is_subgroup,
+    normality_witness,
     subloop_as_loop,
     validate_loop,
 )
@@ -142,6 +147,46 @@ def census_by_extension(L: FiniteLoop) -> SubloopCensus:
         subloops=tuple(subs),
         subgroup_flags=tuple(is_associative_by_triples(L, s.elements) for s in subs),
         normal_flags=tuple(normality_witness_by_scan(L, s) is None for s in subs),
+    )
+
+
+def census_by_full_closure(L: FiniteLoop, caps: Caps = DEFAULT_CAPS) -> SubloopCensus:
+    """The census with each extension <S, g> closed by the all-pairs product fixpoint
+    of ``core._close``, in a group too; the same traversal, flags and caps as
+    ``all_subloops``, with nothing memoised under ``"census"``."""
+    if L.size > caps.census_order:
+        raise CapExceeded("census order", L.size, caps.census_order)
+    is_associative(L)
+    found: dict[frozenset[int], SubLoop] = {}
+    stack: list[SubLoop] = []
+    for S, _ in cyclic_closures(L):
+        key = S.as_set()
+        if key not in found:
+            found[key] = S
+            stack.append(S)
+    while stack:
+        S = stack.pop()
+        if not S.is_proper():
+            continue
+        covered = set(S.elements)
+        for g in range(L.size):
+            if g in covered:
+                continue
+            covered.update(next(_cosets(L, S, "left", g, g + 1)))
+            T = _close(L, {*S.elements, g}, [g])
+            key = T.as_set()
+            if key not in found:
+                if len(found) >= caps.census:
+                    raise CapExceeded("census size", caps.census + 1, caps.census)
+                found[key] = T
+                stack.append(T)
+    subs = sorted(found.values(), key=lambda s: (s.order, s.elements))
+    if len(subs) > caps.census:
+        raise CapExceeded("census size", caps.census + 1, caps.census)
+    return SubloopCensus(
+        subloops=tuple(subs),
+        subgroup_flags=tuple(is_subgroup(L, s) for s in subs),
+        normal_flags=tuple(normality_witness(L, s) is None for s in subs),
     )
 
 

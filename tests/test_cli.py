@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from loupe import build_ln, cyclic_group, direct_product, identities, symmetric_group
+from loupe import build_ln, cli, cyclic_group, direct_product, identities, symmetric_group
 from loupe.cli import load_loop, loop_from_json, loop_to_csv, loop_to_json, main
 from loupe.config import Caps
 
@@ -219,6 +219,18 @@ def test_outputs_deterministic(capsys):
     first = run(capsys, "report", "--ln", "9,5", "--format", "json")
     second = run(capsys, "report", "--ln", "9,5", "--format", "json")
     assert first == second
+
+
+def test_parser_is_built_once_and_keeps_no_options_between_calls(capsys):
+    """main reuses one parser; an option given to one call does not carry to the next."""
+    assert cli.build_parser() is cli.build_parser()
+    for argv, fmt in ((["lattice", "--ln", "5,2"], "dot"), (["report", "--ln", "5,2"], "json")):
+        args = cli.build_parser.__wrapped__().parse_args(argv)  # a parser built for this call alone
+        assert args.format == "text" and args.func(args, Caps()) == 0
+        text = capsys.readouterr().out
+        _, formatted, _ = run(capsys, *argv, "--format", fmt)
+        assert formatted != text
+        assert run(capsys, *argv) == (0, text, "")
 
 
 def test_caps_env(monkeypatch, capsys):

@@ -56,6 +56,7 @@ from oracles import (
     principal_isotope_by_validation,
     pseudo_associators_by_scan,
     random_loop,
+    random_products,
     rdiv_by_scan,
     special_commutativity_by_branches,
     special_triple_by_formulas,
@@ -192,26 +193,61 @@ def test_group_laws_read_the_associativity_memo(corpus, chein_s3):
 
 
 def test_associativity_scan_has_one_owner(corpus, monkeypatch):
-    """check_law and is_associative share core.associativity_failure: each decides
-    a fresh loop with one scan and reads the verdict the other recorded."""
-    scans = []
-    scan = core._associativity_failure
+    """check_law and is_associative share one whole-loop decision, Light's test: each
+    decides a fresh loop once and reads the verdict the other recorded.  The ordered
+    scan runs only for the witness of a failing verdict, once per check_law."""
+    decisions, scans = [], []
+    light, scan = core._light_associative, core._associativity_failure
+    monkeypatch.setattr(core, "_light_associative", lambda L: decisions.append(L) or light(L))
     monkeypatch.setattr(core, "_associativity_failure", lambda t, e: scans.append(e) or scan(t, e))
     for name, L in list(corpus.items()) + _group_loops():
         expected = check_law_by_branches(L, Law.ASSOCIATIVE)
+        witness_scans = 0 if expected.holds else 1
         fresh = dataclasses.replace(L)
         assert check_law(fresh, Law.ASSOCIATIVE) == expected, name
         assert is_associative(fresh) == expected.holds, name
         if expected.holds:
             assert all(check_law(fresh, law).holds for law in _GROUP_LAWS), name
-        assert len(scans) == 1, name
+        assert (len(decisions), len(scans)) == (1, witness_scans), name
+        decisions.clear()
         scans.clear()
         fresh = dataclasses.replace(L)
         assert is_associative(fresh) == expected.holds, name
         assert check_law(fresh, Law.ASSOCIATIVE) == expected, name
-        # a failing verdict scans again for its first counterexample
-        assert len(scans) == (1 if expected.holds else 2), name
+        # the verdict alone needs no witness: check_law scans once, for its first counterexample
+        assert (len(decisions), len(scans)) == (1, witness_scans), name
+        decisions.clear()
         scans.clear()
+
+
+def test_light_test_agrees_with_ordered_scan(loops, chein_s3):
+    """associativity_failure decides by Light's test over a generating set and scans
+    only a failing loop: verdict and first witness equal the ordered scan's, cold and
+    once the verdict is recorded."""
+    late = [
+        # the first factor's identity pairs with a nucleus: every element below 24 is
+        # (e, s) and associates, so the first witness and the first failing generator are late
+        ("L5(2)xS4", direct_product(build_ln(5, 2), symmetric_group(4))),
+        ("chein_s3xC4", direct_product(chein_s3, cyclic_group(4))),
+    ]
+    products = [(f"random_products[{i}]", L) for i, L in enumerate(random_products())]
+    # in some of these every generator passes on the first half of the rows
+    rng = random.Random(1961)
+    small = [(f"small{i}", random_loop(rng, 5 + i % 4, commutative=i % 2 == 1)) for i in range(400)]
+    checked = loops + [("chein_s3", chein_s3)] + products + _group_loops() + late + small
+    groups = 0
+    for name, L in checked:
+        expected = core._associativity_failure(L.table, range(L.size))
+        groups += expected is None
+        fresh = dataclasses.replace(L)
+        assert core.associativity_failure(fresh) == expected, name
+        assert core.associativity_failure(fresh) == expected, name
+        fresh = dataclasses.replace(L)
+        assert is_associative(fresh) == (expected is None), name
+        assert core.associativity_failure(fresh) == expected, name
+    assert 0 < groups < len(checked)
+    failures = {name: core._associativity_failure(L.table, range(L.size)) for name, L in late}
+    assert failures["L5(2)xS4"][0] >= 24 and failures["chein_s3xC4"][0] >= 4, failures
 
 
 def test_pseudo_associators_agree_with_scan(corpus):

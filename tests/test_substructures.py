@@ -15,7 +15,7 @@ from loupe import (
 )
 from loupe import core
 from loupe.errors import CapExceeded
-from loupe.config import Caps
+from loupe.config import DEFAULT_CAPS, Caps
 from loupe.substructures import (
     DerivedKind,
     NucleusPosition,
@@ -34,7 +34,13 @@ from loupe.substructures import (
     second_normalizer,
 )
 
-from oracles import frattini_literal, is_associative_by_triples
+from oracles import (
+    census_by_extension,
+    census_by_full_closure,
+    frattini_literal,
+    is_associative_by_triples,
+    random_products,
+)
 
 
 def test_census_of_reference_loops():
@@ -80,6 +86,8 @@ def test_flags_reverify():
 
 
 def test_group_census_flags_follow_from_one_associativity_scan(corpus, klein, monkeypatch):
+    """The one associativity scan of a group's census is Light's test of the whole
+    loop; no ordered scan runs, and every subgroup flag follows from that verdict."""
     s3 = symmetric_group(3)
     groups = {
         "S4": symmetric_group(4),
@@ -87,27 +95,71 @@ def test_group_census_flags_follow_from_one_associativity_scan(corpus, klein, mo
         "S3xS3": direct_product(s3, s3),
         "C2^2xS3": direct_product(klein, s3),
     }
-    scan = core._associativity_failure
-    calls = []
-
-    def counted(t, elems):
-        calls.append(len(elems))
-        return scan(t, elems)
-
-    monkeypatch.setattr(core, "_associativity_failure", counted)
+    decisions, scans = [], []
+    light, scan = core._light_associative, core._associativity_failure
+    monkeypatch.setattr(core, "_light_associative", lambda L: decisions.append(L.size) or light(L))
+    monkeypatch.setattr(core, "_associativity_failure", lambda t, e: scans.append(e) or scan(t, e))
     named = list(groups.items()) + [
         (name, L) for name, L in corpus.items() if is_associative_by_triples(L, L.elements())
     ]
     assert len(named) == 12
     for name, G in named:
         G = dataclasses.replace(G)
-        calls.clear()
+        decisions.clear()
         census = all_subloops(G)
-        assert calls == [G.size], name
+        assert (decisions, scans) == ([G.size], []), name
         assert census.subgroup_flags == tuple(
             is_associative_by_triples(G, S.elements) for S in census.subloops
         ), name
         assert all(census.subgroup_flags), name
+
+
+def _census_cold_and_warm(G, caps=DEFAULT_CAPS):
+    """``all_subloops`` on a fresh copy of G and on a copy whose memo already holds
+    the verdict, closures and flags, each checked against the full-closure census."""
+    expected = census_by_full_closure(dataclasses.replace(G), caps)
+    assert all_subloops(dataclasses.replace(G), caps) == expected
+    warm = dataclasses.replace(G)
+    census_by_full_closure(warm, caps)
+    assert all_subloops(warm, caps) == expected
+    return expected
+
+
+def test_group_census_by_coset_search_matches_full_closure(klein):
+    s3 = symmetric_group(3)
+    groups = [
+        ("S3", s3),
+        ("S4", symmetric_group(4)),
+        ("C2^4", direct_product(klein, klein)),
+        ("S3xS3", direct_product(s3, s3)),
+        ("C2^2xS3", direct_product(klein, s3)),
+        ("C3xS3", direct_product(cyclic_group(3), s3)),
+        ("S4xC2", direct_product(symmetric_group(4), cyclic_group(2))),
+    ]
+    groups += [
+        (f"random_products[{i}]", L)
+        for i, L in enumerate(random_products())
+        if is_associative_by_triples(L, L.elements())
+    ]
+    assert len(groups) == 16
+    for name, G in groups:
+        expected = _census_cold_and_warm(G)
+        assert all(expected.subgroup_flags), name
+        assert census_by_extension(dataclasses.replace(G)) == expected, name
+
+
+def test_s5_census_by_coset_search_matches_full_closure():
+    S5 = symmetric_group(5)
+    census = _census_cold_and_warm(S5, Caps(census_order=150))
+    assert (len(census.subloops), sum(census.normal_flags)) == (156, 3)
+    # the census cap trips at the same subloop, with the same message, on both paths
+    messages = []
+    for run in (all_subloops, census_by_full_closure):
+        with pytest.raises(CapExceeded) as caught:
+            run(dataclasses.replace(S5), Caps(census_order=150, census=100))
+        messages.append(str(caught.value))
+    assert messages[0] == messages[1]
+    assert "(101 > 100)" in messages[0]
 
 
 def test_normality():
