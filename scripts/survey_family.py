@@ -9,17 +9,19 @@ Usage: python scripts/survey_family.py [--max-n 45]
 """
 
 import argparse
+from dataclasses import astuple
 
 from loupe import (
     LnParams,
     build_ln,
     count_ln,
     enumerate_ln_params,
+    ln_observed_flags,
     ln_predicted_flags,
     predicted_cycle_class,
 )
-from loupe.identities import Law, check_law
-from loupe.representation import cycle_class, right_regular_representation
+from loupe.identities import check_law  # noqa: F401 (unused; perfbench/selftest.py reads it)
+from loupe.representation import representation_report
 
 
 def survey(max_n: int) -> int:
@@ -32,27 +34,14 @@ def survey(max_n: int) -> int:
             L = build_ln(n, m)
             params = LnParams(n, m)
             flags = ln_predicted_flags(params)
-            observed = (
-                check_law(L, Law.COMMUTATIVE).holds,
-                check_law(L, Law.RIGHT_ALTERNATIVE).holds,
-                check_law(L, Law.LEFT_ALTERNATIVE).holds,
-                check_law(L, Law.WIP).holds,
-            )
-            predicted = (
-                flags.commutative,
-                flags.right_alternative,
-                flags.left_alternative,
-                flags.wip,
-            )
             klass = predicted_cycle_class(params)
-            uniform = all(
-                cycle_class(p) == klass
-                for p in right_regular_representation(L)[1:]
+            ok = (
+                flags == ln_observed_flags(L)
+                and representation_report(L, klass).matches_prediction
             )
-            ok = predicted == observed and uniform
             if not ok:
                 mismatches += 1
-            marks = "".join("CRLW"[i] if predicted[i] else "-" for i in range(4))
+            marks = "".join(c if f else "-" for c, f in zip("CRLW", astuple(flags)))
             print(
                 f"{n:>3} {m:>3} {L.size:>5}  {marks:>15}  {klass}"
                 + ("" if ok else "   <-- MISMATCH")

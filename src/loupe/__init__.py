@@ -12,6 +12,7 @@ from .core import (
     FiniteLoop,
     IsoWitness,
     SubLoop,
+    Verdict,
     associator,
     certify_subloop,
     commutator,
@@ -30,7 +31,7 @@ from .core import (
     two_sided_inverse,
     validate_loop,
 )
-from .identities import Law, SpecialKind, StrictForm, Verdict, check_law, check_strict
+from .identities import Law, SpecialKind, StrictForm, check_law, check_strict
 from .ln import (
     LnParams,
     all_h_subloops,
@@ -39,6 +40,7 @@ from .ln import (
     count_strictly_noncommutative,
     enumerate_ln_params,
     h_subloop,
+    ln_observed_flags,
     ln_predicted_flags,
     predicted_cycle_class,
     predicted_normalizers,
@@ -83,6 +85,7 @@ __all__ = [
     "count_strictly_noncommutative",
     "enumerate_ln_params",
     "h_subloop",
+    "ln_observed_flags",
     "ln_predicted_flags",
     "predicted_cycle_class",
     "predicted_normalizers",

@@ -27,6 +27,7 @@ from .ln import (
     count_ln,
     enumerate_ln_params,
     h_subloop,
+    ln_observed_flags,
     ln_predicted_flags,
     predicted_cycle_class,
     predicted_normalizers,
@@ -124,24 +125,6 @@ def cmd_ln(args, caps: Caps) -> int:
     if args.m is None:
         raise ValueError(f"action {args.action!r} needs --m")
     params = LnParams(n, args.m)
-    L = build_ln(n, args.m)
-    if args.action == "classify":
-        flags = ln_predicted_flags(params)
-        observed = {
-            "commutative": identities.check_law(L, Law.COMMUTATIVE).holds,
-            "right_alternative": identities.check_law(L, Law.RIGHT_ALTERNATIVE).holds,
-            "left_alternative": identities.check_law(L, Law.LEFT_ALTERNATIVE).holds,
-            "wip": identities.check_law(L, Law.WIP).holds,
-        }
-        lines = []
-        doc = {}
-        for name in observed:
-            predicted = getattr(flags, name)
-            status = "verified" if predicted == observed[name] else "MISMATCH"
-            lines.append(f"{name}={str(predicted).lower()} {status}")
-            doc[name] = {"predicted": predicted, "observed": observed[name]}
-        emit(args, "\n".join(lines), doc)
-        return 0
     if args.action == "census":
         groups = all_h_subloops(params)
         lines = []
@@ -149,6 +132,17 @@ def cmd_ln(args, caps: Caps) -> int:
         for t, subs in sorted(groups.items()):
             lines.append(f"t={t}: {len(subs)} subloops of order {n // t + 1}")
             doc[str(t)] = [list(S.elements) for S in subs]
+        emit(args, "\n".join(lines), doc)
+        return 0
+    L = build_ln(n, args.m)
+    if args.action == "classify":
+        observed = vars(ln_observed_flags(L))
+        lines = []
+        doc = {}
+        for name, predicted in vars(ln_predicted_flags(params)).items():
+            status = "verified" if predicted == observed[name] else "MISMATCH"
+            lines.append(f"{name}={str(predicted).lower()} {status}")
+            doc[name] = {"predicted": predicted, "observed": observed[name]}
         emit(args, "\n".join(lines), doc)
         return 0
     if args.action == "normalizers":
@@ -177,9 +171,10 @@ def cmd_ln(args, caps: Caps) -> int:
         emit(args, "\n".join(lines) if lines else "no proper subloops", doc)
         return 0
     if args.action == "cycles":
-        report = representation.representation_report(params)
+        predicted = predicted_cycle_class(params)
+        report = representation.representation_report(L, predicted)
         text = (
-            f"predicted class: {predicted_cycle_class(params)}\n"
+            f"predicted class: {predicted}\n"
             f"uniform={str(report.uniform_class).lower()} "
             f"matches_prediction={str(report.matches_prediction).lower()} "
             f"transpositions={str(report.transpositions_present).lower()}"
@@ -188,7 +183,7 @@ def cmd_ln(args, caps: Caps) -> int:
             args,
             text,
             {
-                "predicted": predicted_cycle_class(params).as_dict(),
+                "predicted": predicted.as_dict(),
                 "uniform": report.uniform_class,
                 "matches_prediction": report.matches_prediction,
                 "transpositions_present": report.transpositions_present,

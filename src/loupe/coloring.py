@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .config import DEFAULT_CAPS, Caps
-from .core import FiniteLoop, default_labels
+from .core import FiniteLoop, Verdict, default_labels
 from .errors import (
     ImproperColoring,
     NotInvolutory,
@@ -29,7 +29,7 @@ from .errors import (
     OddOrder,
     SizeCapExceeded,
 )
-from .identities import Law, Verdict, check_law
+from .identities import Law, check_law
 
 Edge = tuple[int, int]
 
@@ -42,8 +42,10 @@ class EdgeColoring:
     color_of: tuple[tuple[Edge, int], ...]  # ((u, v), color) with u < v, sorted
 
     def __post_init__(self):
+        n = self.n_vertices
         edges = [edge for edge, _ in self.color_of]
-        if edges != list(combinations(range(self.n_vertices), 2)):
+        # count first: n comes from the input, and one far vertex would list n(n-1)/2 edges
+        if len(edges) != n * (n - 1) // 2 or edges != list(combinations(range(n), 2)):
             raise ValueError("coloring must assign every edge exactly once")
 
     @classmethod

@@ -129,6 +129,22 @@ class IsoWitness:
         return self.mapping[x]
 
 
+@dataclass(frozen=True)
+class Verdict:
+    """Outcome of a decision: ``holds`` plus an optional witness tuple.
+
+    Universal checks attach a counterexample exactly when they fail;
+    existential checks attach the satisfying element(s) when they succeed.
+    """
+
+    holds: bool
+    witness: tuple | None = None
+    detail: str = ""
+
+    def __bool__(self) -> bool:
+        return self.holds
+
+
 def default_labels(size: int) -> tuple[str, ...]:
     return ("e",) + tuple(str(i) for i in range(1, size))
 

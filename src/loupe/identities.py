@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import enum
 from collections import Counter
-from dataclasses import dataclass
 from itertools import chain, combinations
 from math import comb
 from operator import itemgetter
@@ -24,6 +23,7 @@ from . import substructures
 from .config import DEFAULT_CAPS, Caps
 from .core import (
     FiniteLoop,
+    Verdict,
     associativity_failure,
     compose,
     cyclic_closures,
@@ -36,22 +36,6 @@ from .core import (
     two_sided_inverse,
 )
 from .errors import CapExceeded, NotIPLoop, SizeCapExceeded
-
-
-@dataclass(frozen=True)
-class Verdict:
-    """Outcome of a decision: ``holds`` plus an optional witness tuple.
-
-    Universal checks attach a counterexample exactly when they fail;
-    existential checks attach the satisfying element(s) when they succeed.
-    """
-
-    holds: bool
-    witness: tuple | None = None
-    detail: str = ""
-
-    def __bool__(self) -> bool:
-        return self.holds
 
 
 class Law(enum.Enum):

@@ -15,6 +15,7 @@ from .config import DEFAULT_CAPS, Caps
 from .core import (
     FiniteLoop,
     SubLoop,
+    Verdict,
     _identity_first,
     division,
     find_isomorphism,
@@ -23,7 +24,7 @@ from .core import (
     subloop_as_loop,
 )
 from .errors import BadIndex, CapExceeded, NotAnSSubloop
-from .identities import Law, Verdict, check_law
+from .identities import Law, check_law
 from . import smarandache
 
 

@@ -13,9 +13,8 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .config import DEFAULT_CAPS, Caps
-from .core import FiniteLoop, SubLoop
+from .core import FiniteLoop, SubLoop, Verdict
 from .errors import CapExceeded, ClosureBlowup
-from .identities import Verdict
 
 
 @dataclass(frozen=True)

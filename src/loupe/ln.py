@@ -7,18 +7,19 @@ L_n(m) lives on {e, 1, ..., n} with i*i = e and, for i != j,
 
 These loops are power-associative, simple, of even order n+1, and every
 element squares to the identity.  This module builds them, enumerates and
-counts the family, and computes the closed-form predictions (classification
+counts the family, computes the closed-form predictions (classification
 flags, H_i(t) subloops, normalizers, translation cycle classes) that the
-rest of the library checks against brute force.
+library checks against brute force, and makes that check for the flags.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from math import gcd
 
 from .core import CycleClass, FiniteLoop, SubLoop, default_labels, factorize
 from .errors import BadIndex, InvalidN, InvalidParams, NotADivisor
+from .identities import Law, check_law
 
 
 @dataclass(frozen=True)
@@ -75,7 +76,7 @@ def build_ln(n: int, m: int) -> FiniteLoop:
 def enumerate_ln_params(n: int) -> list[int]:
     """All m giving a loop on {e, 1..n}, ascending."""
     _check_n(n)
-    return [m for m in range(2, n) if gcd(m, n) == 1 and gcd(m - 1, n) == 1]
+    return [m for m in range(2, n) if params_violation(n, m) is None]
 
 
 def count_ln(n: int) -> int:
@@ -98,6 +99,8 @@ def count_strictly_noncommutative(n: int) -> int:
 
 @dataclass(frozen=True)
 class LnFlags:
+    """The four laws the family's classification decides; each field names a ``Law``."""
+
     commutative: bool
     right_alternative: bool
     left_alternative: bool
@@ -120,13 +123,22 @@ def ln_predicted_flags(params: LnParams) -> LnFlags:
     )
 
 
-def h_subloop(params: LnParams, i: int, t: int) -> SubLoop:
-    """The subloop H_i(t) = {e, i, i+t, ..., i+(n/t - 1)t} for t | n, 1 <= i <= t."""
-    n = params.n
+def ln_observed_flags(L: FiniteLoop) -> LnFlags:
+    """The classification flags of L, each decided by brute force through ``check_law``."""
+    return LnFlags(*(check_law(L, Law(f.name)).holds for f in fields(LnFlags)))
+
+
+def _check_index(n: int, i: int, t: int) -> None:
     if t < 1 or n % t != 0:
         raise NotADivisor(t, n)
     if not 1 <= i <= t:
         raise BadIndex(f"index {i} must lie in 1..{t}")
+
+
+def h_subloop(params: LnParams, i: int, t: int) -> SubLoop:
+    """The subloop H_i(t) = {e, i, i+t, ..., i+(n/t - 1)t} for t | n, 1 <= i <= t."""
+    n = params.n
+    _check_index(n, i, t)
     k = n // t
     elems = [0] + [((i + j * t - 1) % n) + 1 for j in range(k)]
     return SubLoop(tuple(sorted(set(elems))), params.order)
@@ -149,10 +161,7 @@ def predicted_normalizers(params: LnParams, i: int, t: int) -> tuple[SubLoop, Su
     H_i(t / gcd(m^2-m+1, t)); H_i(1) is the whole loop.
     """
     n, m = params.n, params.m
-    if t < 1 or n % t != 0:
-        raise NotADivisor(t, n)
-    if not 1 <= i <= t:
-        raise BadIndex(f"index {i} must lie in 1..{t}")
+    _check_index(n, i, t)
 
     def shrink(d: int) -> SubLoop:
         k = t // gcd(d, t)

@@ -11,11 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .config import DEFAULT_CAPS, Caps
-from .core import CycleClass, FiniteLoop, SubLoop, compose, cycles, permutation_order
+from .core import CycleClass, FiniteLoop, SubLoop, Verdict, compose, cycles, permutation_order
 from .errors import HasSSubloops, NotAnSSubloop
-from .identities import Verdict
 from . import smarandache
-from .ln import LnParams, build_ln, predicted_cycle_class
 
 Permutation = tuple[int, ...]
 
@@ -85,25 +83,23 @@ class RepresentationReport:
     transpositions_present: bool
 
 
-def representation_report(params: LnParams) -> RepresentationReport:
-    """Check the family's translation structure against its predictions.
+def representation_report(L: FiniteLoop, predicted: CycleClass) -> RepresentationReport:
+    """Check L's translation structure against a predicted cycle class.
 
     Every non-identity R_a must contain the transposition (a, e), all must
-    share one cycle class, and that class must equal the closed-form
-    prediction.
+    share one cycle class, and that class must equal ``predicted``.
     """
-    L = build_ln(params.n, params.m)
     perms = right_regular_representation(L)
-    classes = {cycle_class(p) for p in perms[1:]}
-    uniform = len(classes) == 1
-    observed = cycle_class(perms[1])
+    classes = [cycle_class(p) for p in perms[1:]]
+    observed = classes[0]
+    uniform = len(set(classes)) == 1
     transpositions = all(
         perms[a][0] == a and perms[a][a] == 0 for a in range(1, L.size)
     )
     return RepresentationReport(
         uniform_class=uniform,
         cycle_class=observed,
-        matches_prediction=uniform and observed == predicted_cycle_class(params),
+        matches_prediction=uniform and observed == predicted,
         transpositions_present=transpositions,
     )
 

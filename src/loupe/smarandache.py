@@ -19,6 +19,7 @@ from .config import DEFAULT_CAPS, Caps
 from .core import (
     FiniteLoop,
     SubLoop,
+    Verdict,
     _cosets,
     commutator,
     cyclic_closures,
@@ -44,7 +45,6 @@ from .identities import (
     _decide,
     _law,
     Law,
-    Verdict,
     check_law,
     is_arif,
     is_diassociative,

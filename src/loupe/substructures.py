@@ -18,6 +18,7 @@ from .config import DEFAULT_CAPS, Caps
 from .core import (
     FiniteLoop,
     SubLoop,
+    Verdict,
     _close,
     _cosets,
     associator,
@@ -136,10 +137,8 @@ def _coset_search(L: FiniteLoop, S: SubLoop, gens: tuple[int, ...]) -> SubLoop:
     return SubLoop(tuple(sorted(elems)), size)
 
 
-def is_normal_subloop(L: FiniteLoop, H: SubLoop):
+def is_normal_subloop(L: FiniteLoop, H: SubLoop) -> Verdict:
     """Verdict-style check of the three normality set-equalities."""
-    from .identities import Verdict
-
     witness = normality_witness(L, H)
     if witness is None:
         return Verdict(True)

@@ -1,12 +1,17 @@
 """Command surface: formats, exit codes, determinism."""
 
+import importlib.util
 import json
+import sys
+from pathlib import Path
 
 import pytest
 
 from loupe import build_ln, cli, cyclic_group, direct_product, identities, symmetric_group
 from loupe.cli import load_loop, loop_from_json, loop_to_csv, loop_to_json, main
 from loupe.config import Caps
+
+from conftest import family_params
 
 
 def run(capsys, *argv):
@@ -39,6 +44,39 @@ def test_ln_cycles(capsys):
     doc = json.loads(out)
     assert doc["predicted"] == {"2": 2, "4": 3, "6": 1, "12": 2}
     assert doc["matches_prediction"]
+
+
+def test_ln_cycles_builds_the_loop_once(capsys, monkeypatch):
+    built = []
+
+    def counted(n, m):
+        built.append((n, m))
+        return build_ln(n, m)
+
+    patched = [name for name, module in sys.modules.items()
+               if name.split(".")[0] == "loupe" and getattr(module, "build_ln", None) is build_ln]
+    for name in patched:
+        monkeypatch.setattr(sys.modules[name], "build_ln", counted)
+    assert {"loupe.ln", "loupe.cli"} <= set(patched)
+    code, out, _ = run(capsys, "ln", "cycles", "--n", "45", "--m", "8")
+    assert code == 0
+    assert out.splitlines()[-1] == "uniform=true matches_prediction=true transpositions=true"
+    assert built == [(45, 8)]
+
+
+def test_survey_verdicts_agree_with_ln_classify_and_cycles(capsys):
+    path = Path(__file__).resolve().parents[1] / "scripts" / "survey_family.py"
+    spec = importlib.util.spec_from_file_location("survey_family", path)
+    survey = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(survey)
+    survey.survey(25)
+    rows = capsys.readouterr().out.split("\n\n")[0].splitlines()[1:]
+    verdicts = {(int(r.split()[0]), int(r.split()[1])): "MISMATCH" not in r for r in rows}
+    assert sorted(verdicts) == family_params(25)
+    for (n, m), ok in verdicts.items():
+        _, classify, _ = run(capsys, "ln", "classify", "--n", str(n), "--m", str(m))
+        _, cycles, _ = run(capsys, "ln", "cycles", "--n", str(n), "--m", str(m))
+        assert ok == ("MISMATCH" not in classify and "matches_prediction=true" in cycles), (n, m)
 
 
 def test_check_commands(capsys, tmp_path):

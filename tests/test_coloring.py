@@ -1,6 +1,7 @@
 """Loop/edge-coloring correspondence and the enumeration of both sides."""
 
 import random
+import tracemalloc
 from itertools import combinations, permutations
 
 import pytest
@@ -233,3 +234,17 @@ def test_edge_coloring_requires_every_edge_once_in_order():
         EdgeColoring(6, full[::-1])  # not sorted
     with pytest.raises(ValueError):
         EdgeColoring(6, (((1, 0), full[0][1]),) + full[1:])  # u > v
+
+
+def test_one_far_vertex_is_rejected_before_any_edge_list_is_built(tmp_path):
+    # K_2001 has about 2 * 10^6 edges; the edge count settles the file without listing them
+    path = tmp_path / "far.txt"
+    path.write_text("0 2000 1\n")
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="every edge exactly once"):
+            coloring_from_text(path.read_text())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000

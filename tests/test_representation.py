@@ -2,7 +2,7 @@
 
 import pytest
 
-from loupe import LnParams, build_ln, certify_subloop
+from loupe import LnParams, build_ln, certify_subloop, cyclic_group, predicted_cycle_class
 from loupe.errors import HasSSubloops, NotAnSSubloop
 from loupe.representation import (
     compose,
@@ -69,10 +69,22 @@ def test_albert_conditions():
 
 def test_representation_report():
     for params in ((7, 4), (45, 8), (5, 2)):
-        report = representation_report(LnParams(*params))
+        report = representation_report(build_ln(*params), predicted_cycle_class(LnParams(*params)))
         assert report.uniform_class
         assert report.matches_prediction
         assert report.transpositions_present
+
+
+def test_representation_report_rejects_a_wrong_or_mixed_class():
+    # L_45(8) is uniform, but the class of L_7(4) is not its class
+    report = representation_report(build_ln(45, 8), predicted_cycle_class(LnParams(7, 4)))
+    assert report.uniform_class
+    assert not report.matches_prediction
+    # in C_4, R_1 is a 4-cycle but R_2 is two transpositions, so R_1's class is not shared
+    C4 = cyclic_group(4)
+    report = representation_report(C4, cycle_class(right_regular_representation(C4)[1]))
+    assert not report.uniform_class
+    assert not report.matches_prediction
 
 
 def test_transposition_membership_family():
