@@ -54,7 +54,11 @@ def load_loop(path: str) -> FiniteLoop:
         text = fh.read()
     stripped = text.lstrip()
     if stripped.startswith("{"):
-        return loop_from_json(json.loads(text))
+        try:
+            doc = json.loads(text)
+        except RecursionError:
+            raise ValueError(f"{path} nests too deeply to be a loadable loop table") from None
+        return loop_from_json(doc)
     rows = [
         [int(tok) for tok in line.replace(",", " ").split()]
         for line in text.splitlines()

@@ -360,20 +360,34 @@ def _light_associative(L: FiniteLoop) -> bool:
     """Light's associativity test (Clifford & Preston, *The Algebraic Theory of
     Semigroups* I, 1961, section 1.2) over ``_greedy_generators(L)``.
 
-    The elements a with (xy)a = x(ya) for all x, y form a product-closed set,
-    and in a finite loop a product-closed set holding a generating set is the
-    whole loop; so L is a group iff every generator passes.  A generator a
-    passes when, for each x, row x read at column a equals column a read at
-    row x: n^2 table reads per generator.
+    The elements a with (xy)a = x(ya) for all x, y form the right nucleus,
+    a product-closed set, and in a finite loop a product-closed set holding a
+    generating set is the whole loop; so L is a group iff every generator lies
+    in the right nucleus (``_in_nucleus``): n^2 table reads per generator.
     """
     t = L.table
-    for a in _greedy_generators(L):
-        col = tuple(row[a] for row in t)  # col[z] = za
-        at_ya = itemgetter(*col)  # picks the entry at column ya, for every y, off a row
-        for row in t:  # row x: (xy)a is col[row[y]], x(ya) is row[col[y]]
-            if tuple(map(col.__getitem__, row)) != at_ya(row):
-                return False
-    return True
+    return all(_in_nucleus(t, a, "right") for a in _greedy_generators(L))
+
+
+def _in_nucleus(t, a: int, slot: str) -> bool:
+    """Whether a != e lies in the "left", "middle" or "right" nucleus of the loop
+    with table t: whether its associator with every pair is e in that slot.
+
+    Each x compares two rows of n entries: row ax against row a read at the
+    columns of row x ((ax)y = a(xy)), row xa against row x read at the columns
+    of row a ((xa)y = x(ay)), and column a read at row x against row x read at
+    the rows of column a ((xy)a = x(ya)).  a must not be e: with n = 1 an
+    itemgetter of one index returns a scalar, not a tuple.
+    """
+    row_a = t[a]
+    if slot == "left":
+        return all(t[row_a[x]] == tuple(map(row_a.__getitem__, row)) for x, row in enumerate(t))
+    if slot == "middle":
+        at_ay = itemgetter(*row_a)  # picks the entry at column ay, for every y, off a row
+        return all(t[row[a]] == at_ay(row) for row in t)
+    col = tuple(row[a] for row in t)  # col[z] = za
+    at_ya = itemgetter(*col)  # row x: (xy)a is col[row[y]], x(ya) is row[col[y]]
+    return all(tuple(map(col.__getitem__, row)) == at_ya(row) for row in t)
 
 
 def _associativity_failure(t, elems) -> tuple[int, int, int] | None:

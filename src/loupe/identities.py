@@ -29,6 +29,7 @@ from .core import (
     cyclic_closures,
     division,
     generated_subloop,
+    is_associative,
     is_commutative_subset,
     is_cyclic_group,
     is_subgroup,
@@ -215,8 +216,8 @@ def is_power_associative(L: FiniteLoop) -> Verdict:
 def is_diassociative(L: FiniteLoop) -> Verdict:
     """Every pair of elements generates an associative subloop; (y, x) with y > x
     generates what (x, y) does, so it passes unscanned.  A subloop of a group
-    is a group, so a loop already recorded as associative holds unscanned."""
-    if known_associative(L):
+    is a group, so a group, decided first by Light's test, holds unscanned."""
+    if is_associative(L):
         return Verdict(True)
     return _decide(L.table, None, _law(2, lambda t, ld, x, y: (
         y < x or is_subgroup(L, generated_subloop(L, (x, y))))), range(L.size))

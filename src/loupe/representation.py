@@ -87,10 +87,12 @@ def representation_report(L: FiniteLoop, predicted: CycleClass) -> Representatio
     """Check L's translation structure against a predicted cycle class.
 
     Every non-identity R_a must contain the transposition (a, e), all must
-    share one cycle class, and that class must equal ``predicted``.
+    share one cycle class, and that class must equal ``predicted``.  The
+    trivial loop has no non-identity R_a and reads all three vacuously: its
+    class is the empty one.
     """
     perms = right_regular_representation(L)
-    classes = [cycle_class(p) for p in perms[1:]]
+    classes = [cycle_class(p) for p in perms[1:]] or [CycleClass(())]
     observed = classes[0]
     uniform = len(set(classes)) == 1
     transpositions = all(

@@ -21,7 +21,6 @@ from .core import (
     SubLoop,
     Verdict,
     _cosets,
-    commutator,
     cyclic_closures,
     element_order,
     factorize,
@@ -51,13 +50,15 @@ from .identities import (
     is_power_associative,
 )
 from .substructures import (
+    DerivedKind,
     NucleusPosition,
     _associators,
-    _centre,
-    _moufang_centre,
-    _nucleus,
     all_subloops,
+    centre,
+    derived_subloop,
     first_normalizer,
+    moufang_centre,
+    nucleus,
     second_normalizer,
 )
 
@@ -283,11 +284,16 @@ class RelativeKind(enum.Enum):
     SECOND_NORMALIZER = "second_normalizer"
 
 
-_NUCLEUS_POSITIONS = {
-    RelativeKind.NUCLEUS_LEFT: NucleusPosition.LEFT,
-    RelativeKind.NUCLEUS_MIDDLE: NucleusPosition.MIDDLE,
-    RelativeKind.NUCLEUS_RIGHT: NucleusPosition.RIGHT,
-    RelativeKind.NUCLEUS: NucleusPosition.FULL,
+# the kinds that range over A alone, each the classical substructure of A as a loop
+_CLASSICAL = {
+    RelativeKind.COMMUTATOR: lambda S: derived_subloop(S, DerivedKind.COMMUTATOR),
+    RelativeKind.PSEUDO_ASSOCIATOR: lambda S: derived_subloop(S, DerivedKind.PSEUDO_ASSOCIATOR),
+    RelativeKind.NUCLEUS_LEFT: lambda S: nucleus(S, NucleusPosition.LEFT),
+    RelativeKind.NUCLEUS_MIDDLE: lambda S: nucleus(S, NucleusPosition.MIDDLE),
+    RelativeKind.NUCLEUS_RIGHT: lambda S: nucleus(S, NucleusPosition.RIGHT),
+    RelativeKind.NUCLEUS: nucleus,
+    RelativeKind.MOUFANG_CENTRE: moufang_centre,
+    RelativeKind.CENTRE: centre,
 }
 
 
@@ -296,29 +302,24 @@ def relative_substructure(L: FiniteLoop, A: SubLoop, kind: RelativeKind):
 
     Serves both levels of the theory: level I passes an S-subloop, level II
     an S-subloop of the normal flavour, and a loop with no S-subloops passes
-    A = L itself.  Commutators range over pairs of A; associators collect the
-    associators of all triples of L that happen to lie in A.  The relative
-    pseudo-associator takes t in A and the strong form t anywhere in L, both
-    over associating triples from A; A holds e, and (e, e, e) associates and
-    gives (ee)(te) = t = (et)(ee) for every t, so they are A and L.
-    Normalizers range over all of L and return element sets; everything else
-    returns a certified subloop.
+    A = L itself.  The commutator, pseudo-associator, nuclei, Moufang centre
+    and centre range over A alone; A is a subloop, so every product and
+    quotient they read stays in A, and each is the classical substructure of
+    ``subloop_as_loop(L, A)`` mapped back through ``A.elements``.  The
+    pseudo-associator is then A itself: the triple (e, e, e) associates and
+    gives (ee)(te) = t = (et)(ee) for every t, and for the same reason the
+    strong form, which takes t anywhere in L, is L.  Associators collect the
+    associators of all triples of L that happen to lie in A.  Normalizers
+    range over all of L and return element sets; everything else returns a
+    certified subloop.
     """
-    if kind is RelativeKind.COMMUTATOR:
-        gens = {commutator(L, x, y) for x in A.elements for y in A.elements}
-        return generated_subloop(L, gens)
+    if kind in _CLASSICAL:
+        S = _CLASSICAL[kind](subloop_as_loop(L, A))
+        return SubLoop(tuple(A.elements[i] for i in S.elements), L.size)
     if kind is RelativeKind.ASSOCIATOR:
         return generated_subloop(L, _associators(L) & A.as_set())
-    if kind is RelativeKind.PSEUDO_ASSOCIATOR:
-        return A
     if kind is RelativeKind.STRONGLY_PSEUDO_ASSOCIATOR:
         return SubLoop(tuple(range(L.size)), L.size)
-    if kind in _NUCLEUS_POSITIONS:
-        return _nucleus(L, A.elements, _NUCLEUS_POSITIONS[kind])
-    if kind is RelativeKind.MOUFANG_CENTRE:
-        return _moufang_centre(L, A.elements)
-    if kind is RelativeKind.CENTRE:
-        return _centre(L, A.elements)
     if kind is RelativeKind.FIRST_NORMALIZER:
         return first_normalizer(L, A)
     if kind is RelativeKind.SECOND_NORMALIZER:

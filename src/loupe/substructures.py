@@ -21,6 +21,7 @@ from .core import (
     Verdict,
     _close,
     _cosets,
+    _in_nucleus,
     associator,
     certify_subloop,
     commutator,
@@ -152,56 +153,22 @@ class NucleusPosition(enum.Enum):
     FULL = "full"
 
 
-def _nucleus(L: FiniteLoop, over, position: NucleusPosition) -> SubLoop:
-    """Elements a of ``over`` whose associator with every pair from ``over`` is e in a's slot."""
-    t = L.table
-
-    def left_ok(a):
-        return all(t[t[a][x]][y] == t[a][t[x][y]] for x in over for y in over)
-
-    def middle_ok(a):
-        return all(t[t[x][a]][y] == t[x][t[a][y]] for x in over for y in over)
-
-    def right_ok(a):
-        return all(t[t[x][y]][a] == t[x][t[y][a]] for x in over for y in over)
-
-    tests = {
-        NucleusPosition.LEFT: (left_ok,),
-        NucleusPosition.MIDDLE: (middle_ok,),
-        NucleusPosition.RIGHT: (right_ok,),
-        NucleusPosition.FULL: (left_ok, middle_ok, right_ok),
-    }[position]
-    members = [a for a in over if all(ok(a) for ok in tests)]
-    return certify_subloop(L, members)
-
-
-def _commutant(L: FiniteLoop, over) -> frozenset[int]:
-    """Elements of ``over`` commuting with every element of ``over``."""
-    t = L.table
-    return frozenset(x for x in over if all(t[x][y] == t[y][x] for y in over))
-
-
-def _moufang_centre(L: FiniteLoop, over) -> SubLoop:
-    c = _commutant(L, over)
-    try:
-        return certify_subloop(L, c)
-    except NotClosed:
-        return generated_subloop(L, c)
-
-
-def _centre(L: FiniteLoop, over) -> SubLoop:
-    members = _commutant(L, over) & _nucleus(L, over, NucleusPosition.FULL).as_set()
-    return certify_subloop(L, members)
-
-
 def nucleus(L: FiniteLoop, position: NucleusPosition = NucleusPosition.FULL) -> SubLoop:
-    """Elements whose associator vanishes in the given slot against all pairs."""
-    return _nucleus(L, range(L.size), position)
+    """Elements whose associator vanishes in the given slot against all pairs.
+
+    e always lies in every nucleus; each other element is decided by the row
+    test of ``_in_nucleus``, the one Light's associativity test reads.
+    """
+    t = L.table
+    slots = ("left", "middle", "right") if position is NucleusPosition.FULL else (position.value,)
+    members = [0] + [a for a in range(1, L.size) if all(_in_nucleus(t, a, s) for s in slots)]
+    return certify_subloop(L, members)
 
 
 def commutant(L: FiniteLoop) -> frozenset[int]:
-    """Elements commuting with everything; not necessarily product-closed."""
-    return _commutant(L, range(L.size))
+    """Elements commuting with everything (row x equals column x); not necessarily product-closed."""
+    t = L.table
+    return frozenset(x for x, col in enumerate(zip(*t)) if t[x] == col)
 
 
 def commutant_is_closed(L: FiniteLoop) -> bool:
@@ -219,12 +186,16 @@ def moufang_centre(L: FiniteLoop) -> SubLoop:
     generated subloop is returned instead; ``commutant_is_closed`` tells the
     two cases apart.
     """
-    return _moufang_centre(L, range(L.size))
+    c = commutant(L)
+    try:
+        return certify_subloop(L, c)
+    except NotClosed:
+        return generated_subloop(L, c)
 
 
 def centre(L: FiniteLoop) -> SubLoop:
     """Intersection of the commutant with the full nucleus; always a subgroup."""
-    return _centre(L, range(L.size))
+    return certify_subloop(L, commutant(L) & nucleus(L).as_set())
 
 
 class DerivedKind(enum.Enum):
@@ -253,7 +224,8 @@ def derived_subloop(L: FiniteLoop, kind: DerivedKind) -> SubLoop:
     Commutators range over all pairs and associators over all triples.  The
     pseudo-commutator collects the solutions p of a(xb) = p((bx)a) over
     commuting pairs (a, b) and all x; the strong form collects p with
-    (ax)b = (pb)(ax) over distinct pairs.  The pseudo-associator collects t
+    (ax)b = (pb)(ax) over distinct pairs, which is p = ((ub)/u)/b over all
+    u and b.  The pseudo-associator collects t
     with (ab)(tc) = (at)(bc) over associating triples (a, b, c); the strong
     form drops the associativity restriction on the triple.  Both
     pseudo-associator subloops are the whole loop: the triple (e, e, e)
@@ -277,14 +249,10 @@ def derived_subloop(L: FiniteLoop, kind: DerivedKind) -> SubLoop:
                     u = t[t[b][x]][a]
                     gens.add(L.rdiv(u, t[a][t[x][b]]))
     elif kind is DerivedKind.STRONGLY_PSEUDO_COMMUTATOR:
-        for a in range(size):
+        # with u = ax, x ranges over L for every a, and some a != b exists once n >= 2
+        for u in range(size):
             for b in range(size):
-                if a == b:
-                    continue
-                for x in range(size):
-                    u = t[a][x]
-                    pb = L.rdiv(u, t[u][b])
-                    gens.add(L.rdiv(b, pb))
+                gens.add(L.rdiv(b, L.rdiv(u, t[u][b])))
     elif kind in (DerivedKind.PSEUDO_ASSOCIATOR, DerivedKind.STRONGLY_PSEUDO_ASSOCIATOR):
         return SubLoop(tuple(range(size)), size)
     else:

@@ -18,7 +18,9 @@ partitions are decided by scanning every pair set, and every coset is formed
 by its own formula: normalizers compare the two sides at each element, coset
 covers are searched over cosets written out from the table, and quotients
 check that the cosets are disjoint and multiply well-definedly, then
-revalidate the table.  The S-layer oracles write each filter out where it is
+revalidate the table.  Nuclei, commutants and centres scan every pair of a
+subset of the table, and relative substructures scan A inside L's table
+rather than forming A as a loop.  The S-layer oracles write each filter out where it is
 used: "proper subgroup of order >= 2" in the report, the Sylow test and the
 pseudo-representation, and "holds a proper cyclic group" three times over,
 with the report's flag names checked against a list.
@@ -27,6 +29,7 @@ with the report's flag names checked against a list.
 from __future__ import annotations
 
 import random
+from functools import cache
 from itertools import combinations, permutations
 
 from loupe import build_ln, cyclic_group, direct_product, symmetric_group
@@ -58,6 +61,7 @@ from loupe.errors import (
     HasSSubloops,
     ImproperColoring,
     NotASubgroup,
+    NotClosed,
     NotInvolutory,
     NotNormal,
     NotPrime,
@@ -78,6 +82,7 @@ from loupe.isotopes import principal_isotope
 from loupe.lattice import InclusionLattice, _is_sublattice
 from loupe.representation import Permutation, cycles, right_regular_representation
 from loupe.smarandache import (
+    RelativeKind,
     SReport,
     SSubstructures,
     SylowReport,
@@ -88,7 +93,7 @@ from loupe.smarandache import (
     is_s_cauchy_loop,
     satisfies_sylow_criteria,
 )
-from loupe.substructures import SubloopCensus, all_subloops
+from loupe.substructures import NucleusPosition, SubloopCensus, all_subloops
 
 
 def is_associative_by_triples(L: FiniteLoop, elems) -> bool:
@@ -988,6 +993,109 @@ def pseudo_associators_by_scan(L: FiniteLoop, domain, candidates, must_associate
                     if t[ab][t[w][c]] == t[t[a][w]][bc]:
                         gens.add(w)
     return gens
+
+
+def strongly_pseudo_commutator_gens_by_triples(L: FiniteLoop) -> set[int]:
+    """The p with (ax)b = (pb)(ax), over every x and every pair a != b."""
+    t = L.table
+    gens = set()
+    for a in range(L.size):
+        for b in range(L.size):
+            if a == b:
+                continue
+            for x in range(L.size):
+                u = t[a][x]
+                pb = rdiv_by_scan(L, u, t[u][b])
+                gens.add(rdiv_by_scan(L, b, pb))
+    return gens
+
+
+def nucleus_by_scan(L: FiniteLoop, over, position: NucleusPosition) -> SubLoop:
+    """Elements a of ``over`` whose associator with every pair from ``over`` is e in a's slot."""
+    t = L.table
+
+    def left_ok(a):
+        return all(t[t[a][x]][y] == t[a][t[x][y]] for x in over for y in over)
+
+    def middle_ok(a):
+        return all(t[t[x][a]][y] == t[x][t[a][y]] for x in over for y in over)
+
+    def right_ok(a):
+        return all(t[t[x][y]][a] == t[x][t[y][a]] for x in over for y in over)
+
+    tests = {
+        NucleusPosition.LEFT: (left_ok,),
+        NucleusPosition.MIDDLE: (middle_ok,),
+        NucleusPosition.RIGHT: (right_ok,),
+        NucleusPosition.FULL: (left_ok, middle_ok, right_ok),
+    }[position]
+    return certify_subloop(L, [a for a in over if all(ok(a) for ok in tests)])
+
+
+def commutant_by_scan(L: FiniteLoop, over) -> frozenset[int]:
+    """Elements of ``over`` commuting with every element of ``over``."""
+    t = L.table
+    return frozenset(x for x in over if all(t[x][y] == t[y][x] for y in over))
+
+
+def moufang_centre_by_scan(L: FiniteLoop, over) -> SubLoop:
+    """The commutant over ``over`` if it is closed, else the subloop it generates."""
+    c = commutant_by_scan(L, over)
+    try:
+        return certify_subloop(L, c)
+    except NotClosed:
+        return generated_subloop(L, c)
+
+
+def centre_by_scan(L: FiniteLoop, over) -> SubLoop:
+    """The commutant over ``over`` met with the full nucleus over ``over``."""
+    full = nucleus_by_scan(L, over, NucleusPosition.FULL).as_set()
+    return certify_subloop(L, commutant_by_scan(L, over) & full)
+
+
+@cache
+def associators_by_scan(L: FiniteLoop) -> frozenset[int]:
+    """The associators of all triples of L, each found by scanning a row; cached per table."""
+    size = L.size
+    return frozenset(
+        associator_by_scan(L, x, y, z) for x in range(size) for y in range(size) for z in range(size)
+    )
+
+
+_RELATIVE_NUCLEI = {
+    RelativeKind.NUCLEUS_LEFT: NucleusPosition.LEFT,
+    RelativeKind.NUCLEUS_MIDDLE: NucleusPosition.MIDDLE,
+    RelativeKind.NUCLEUS_RIGHT: NucleusPosition.RIGHT,
+    RelativeKind.NUCLEUS: NucleusPosition.FULL,
+}
+
+
+def relative_substructure_by_scan(L: FiniteLoop, A: SubLoop, kind: RelativeKind):
+    """Each relative substructure scanned over the elements of A inside L's table."""
+    if kind is RelativeKind.COMMUTATOR:
+        t = L.table
+        gens = {ldiv_by_scan(L, t[y][x], t[x][y]) for x in A.elements for y in A.elements}
+        return generated_subloop(L, gens)
+    if kind is RelativeKind.ASSOCIATOR:
+        return generated_subloop(L, associators_by_scan(L) & A.as_set())
+    if kind is RelativeKind.PSEUDO_ASSOCIATOR:
+        return A
+    if kind is RelativeKind.STRONGLY_PSEUDO_ASSOCIATOR:
+        return SubLoop(tuple(range(L.size)), L.size)
+    if kind in _RELATIVE_NUCLEI:
+        return nucleus_by_scan(L, A.elements, _RELATIVE_NUCLEI[kind])
+    if kind is RelativeKind.MOUFANG_CENTRE:
+        return moufang_centre_by_scan(L, A.elements)
+    if kind is RelativeKind.CENTRE:
+        return centre_by_scan(L, A.elements)
+    if kind is RelativeKind.FIRST_NORMALIZER:
+        return first_normalizer_by_scan(L, A)
+    if kind is RelativeKind.SECOND_NORMALIZER:
+        t = L.table
+        return frozenset(
+            x for x in range(L.size) if {t[t[x][h]][x] for h in A.elements} == A.as_set()
+        )
+    raise ValueError(f"unknown kind {kind}")
 
 
 def hyperloop_by_pairs(L: FiniteLoop, q: int) -> frozenset[tuple[int, int]]:

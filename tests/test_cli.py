@@ -383,6 +383,16 @@ def test_loop_file_without_table_names_the_field(capsys, tmp_path):
     assert "'table' field" in err
 
 
+def test_deeply_nested_loop_file_is_an_input_error(capsys, tmp_path):
+    # json.loads raises RecursionError past its nesting limit: bad input, not a fault
+    path = tmp_path / "nested.json"
+    path.write_text('{"table": ' + "[" * 100_000 + "]" * 100_000 + "}")
+    code, out, err = run(capsys, "report", "--loop", str(path))
+    assert code == 2
+    assert out == ""
+    assert "loadable loop table" in err
+
+
 @pytest.mark.parametrize("raw", ["census", "census=", "census=many"])
 def test_caps_env_without_integer_names_the_key(monkeypatch, capsys, raw):
     monkeypatch.setenv("LOUPE_CAPS", raw)

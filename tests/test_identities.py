@@ -1,5 +1,7 @@
 """Quantified identities, strict forms, multiplication groups and u.p. scans."""
 
+import dataclasses
+
 import pytest
 
 from loupe import build_ln, cyclic_group, direct_product, symmetric_group
@@ -107,12 +109,18 @@ def test_power_associativity(noncomm5):
     assert not is_power_associative(noncomm5).holds
 
 
-def test_diassociativity_decides_each_distinct_subloop_once():
-    # S_5 has 7,260 pairs but 156 distinct 2-generated subloops
+def test_diassociativity_decides_each_distinct_subloop_once(chein_s3):
+    # a Moufang loop that is not a group runs the pair scan: its 78 pairs with
+    # x <= y generate 23 distinct subloops, each decided once, beside the
+    # whole-loop verdict of Light's test
+    L = dataclasses.replace(chein_s3)
+    assert is_diassociative(L).holds
+    assert len(L._memo["subgroup"]) == 24
+    # a group is decided by Light's test alone, and no pair is closed
     assert is_diassociative(symmetric_group(5)).holds
     G = direct_product(symmetric_group(4), cyclic_group(2))
     assert is_diassociative(G).holds
-    assert len(G._memo["subgroup"]) == 91
+    assert list(G._memo["subgroup"]) == [tuple(range(G.size))]
 
 
 def test_diassociativity_holds_unscanned_in_a_known_group():

@@ -3,6 +3,7 @@
 import pytest
 
 from loupe import LnParams, build_ln, certify_subloop, cyclic_group, predicted_cycle_class
+from loupe.core import CycleClass
 from loupe.errors import HasSSubloops, NotAnSSubloop
 from loupe.representation import (
     compose,
@@ -84,6 +85,18 @@ def test_representation_report_rejects_a_wrong_or_mixed_class():
     C4 = cyclic_group(4)
     report = representation_report(C4, cycle_class(right_regular_representation(C4)[1]))
     assert not report.uniform_class
+    assert not report.matches_prediction
+
+
+def test_representation_report_of_the_trivial_loop_is_vacuous():
+    # no translation besides the identity: one shared class, the empty one
+    trivial = cyclic_group(1)
+    report = representation_report(trivial, CycleClass(()))
+    assert report.uniform_class and report.transpositions_present
+    assert report.cycle_class == CycleClass(())
+    assert report.matches_prediction
+    report = representation_report(trivial, CycleClass(((2, 1),)))
+    assert report.uniform_class and report.cycle_class == CycleClass(())
     assert not report.matches_prediction
 
 

@@ -1,6 +1,7 @@
 """Subgroup-bearing structure: S-flags, relative substructures, cosets, hyperloops."""
 
 import random
+from itertools import count, islice
 
 import pytest
 
@@ -55,12 +56,17 @@ from loupe.smarandache import (
 from loupe.substructures import all_subloops
 
 from oracles import (
+    centre_by_scan,
+    commutant_by_scan,
     hyper_partition_check_by_scan,
     hyperloop_by_pairs,
     is_s_loop_by_filter,
     is_s_subloop_by_filter,
+    moufang_centre_by_scan,
+    nucleus_by_scan,
     random_loop,
     random_products,
+    relative_substructure_by_scan,
     s_classical_report_by_filter,
     s_p_sylow_by_filter,
     s_pseudo_representation_by_filter,
@@ -512,6 +518,43 @@ def test_relative_substructures_of_whole_loop_match_absolute_ones():
         ]
         for kind, absolute in pairs:
             assert relative_substructure(L, whole, kind) == absolute, (L.size, kind)
+
+
+def test_relative_and_classical_substructures_match_scan_oracles(corpus, chein_s3):
+    from loupe.substructures import (
+        NucleusPosition,
+        centre,
+        commutant,
+        commutant_is_closed,
+        moufang_centre,
+        nucleus,
+    )
+
+    rng = random.Random(19)
+    loops = list(corpus.values()) + random_products() + [
+        chein_s3, direct_product(chein_s3, cyclic_group(2))
+    ]
+    loops += [random_loop(rng, n, commutative) for n in range(1, 9) for commutative in (False, True)
+              for _ in range(3)]
+    # about one random loop of order 6 in 30 has one-sided nuclei that differ,
+    # which tells the three slots apart
+    sided = (NucleusPosition.LEFT, NucleusPosition.MIDDLE, NucleusPosition.RIGHT)
+    order_6 = (random_loop(rng, 6) for _ in count())
+    loops += islice((L for L in order_6 if len({nucleus_by_scan(L, range(6), p) for p in sided}) > 1), 6)
+    assert nucleus(cyclic_group(1)).elements == (0,)
+    for L in loops:
+        whole = range(L.size)
+        for position in NucleusPosition:
+            assert nucleus(L, position) == nucleus_by_scan(L, whole, position), (L, position)
+        c = commutant_by_scan(L, whole)
+        assert commutant(L) == c, L
+        assert commutant_is_closed(L) == all(L.table[x][y] in c for x in c for y in c), L
+        assert moufang_centre(L) == moufang_centre_by_scan(L, whole), L
+        assert centre(L) == centre_by_scan(L, whole), L
+        for A in all_subloops(L).subloops:
+            for kind in RelativeKind:
+                expected = relative_substructure_by_scan(L, A, kind)
+                assert relative_substructure(L, A, kind) == expected, (L, A, kind)
 
 
 def test_is_normal_subgroup_is_normality_condition_one():

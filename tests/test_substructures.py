@@ -1,6 +1,7 @@
 """Census completeness, nuclei, centres, derived subloops and normalizers."""
 
 import dataclasses
+import random
 
 import pytest
 
@@ -39,7 +40,9 @@ from oracles import (
     census_by_full_closure,
     frattini_literal,
     is_associative_by_triples,
+    random_loop,
     random_products,
+    strongly_pseudo_commutator_gens_by_triples,
 )
 
 
@@ -216,6 +219,17 @@ def test_moufang_centre_and_centre():
         assert set(z.elements) <= set(c.elements)
         assert set(z.elements) <= set(nucleus(L).elements)
         assert z.elements == (0,)
+
+
+def test_strongly_pseudo_commutator_subloop_matches_the_triple_scan(l52xs3):
+    rng = random.Random(19)
+    loops = [random_loop(rng, n, commutative) for n in range(1, 9) for commutative in (False, True)
+             for _ in range(4)]
+    for L in loops + [build_ln(15, 8), l52xs3]:
+        expected = core.generated_subloop(L, strongly_pseudo_commutator_gens_by_triples(L))
+        assert derived_subloop(L, DerivedKind.STRONGLY_PSEUDO_COMMUTATOR) == expected, L
+    assert derived_subloop(build_ln(15, 8), DerivedKind.STRONGLY_PSEUDO_COMMUTATOR).order == 1
+    assert derived_subloop(l52xs3, DerivedKind.STRONGLY_PSEUDO_COMMUTATOR).order == 18
 
 
 def test_derived_subloops():
