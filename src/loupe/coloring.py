@@ -12,7 +12,8 @@ alternative law hold, each R_a with a != e is a fixed-point-free involution
 u\\v.  K_n has a proper (n-1)-edge-coloring only when n is even, and then
 each class is a perfect matching holding one edge {0, v}; naming that class
 v writes a loop with identity 0.  No other naming does: column 0 is the
-identity map and every other column is fixed-point-free.
+identity map and every other column is fixed-point-free.  The enumerator and
+the counter search one list of K_n's perfect matchings, each an edge bitmask.
 """
 
 from __future__ import annotations
@@ -125,20 +126,23 @@ def coloring_to_loop(coloring: EdgeColoring) -> FiniteLoop:
     return _loop_from_matchings(n, ((edges[0][1], edges) for edges in classes.values()))
 
 
-def _matchings(edges: list[Edge], vertices: tuple[int, ...]):
-    """Perfect matchings on ``vertices`` drawn from ``edges``, lexicographically."""
-    if not vertices:
-        yield ()
-        return
-    v = vertices[0]
-    for e in edges:
-        if v in e:
-            u = e[0] if e[1] == v else e[1]
-            if u in vertices:
-                rest_v = tuple(w for w in vertices if w not in e)
-                rest_e = [f for f in edges if v not in f and u not in f]
-                for tail in _matchings(rest_e, rest_v):
-                    yield (e,) + tail
+def _perfect_matchings(n: int) -> list[tuple[int, tuple[Edge, ...]]]:
+    """K_n's perfect matchings in lexicographic order, each as (edge mask, edges).
+
+    Bit i of the mask is the i-th edge of ``combinations(range(n), 2)``.
+    """
+    bit = {edge: 1 << i for i, edge in enumerate(combinations(range(n), 2))}
+
+    def extend(vertices: tuple[int, ...]):
+        if not vertices:
+            yield 0, ()
+            return
+        v, *others = vertices
+        for u in others:
+            for mask, tail in extend(tuple(w for w in others if w != u)):
+                yield bit[v, u] | mask, ((v, u),) + tail
+
+    return list(extend(tuple(range(n))))
 
 
 def enumerate_involutory_right_alt(
@@ -147,7 +151,7 @@ def enumerate_involutory_right_alt(
     """All loops of the given even order that are right alternative with x*x = e.
 
     Backtracks over translation assignments: R_a must be a perfect matching
-    containing {0, a}, disjoint from the edges already used.  Each solution
+    containing {0, a} whose edge mask misses the used edges.  Each solution
     is a distinct system of translations; loops come out in canonical table
     order.
     """
@@ -155,63 +159,54 @@ def enumerate_involutory_right_alt(
         raise OddOrder(f"order {order} is not even and positive")
     if order > 8:
         raise SizeCapExceeded("enumeration order", order, 8)
-    all_edges = [tuple(e) for e in combinations(range(order), 2)]
+    through: dict[int, list[tuple[int, tuple[Edge, ...]]]] = {}
+    for mask, matching in _perfect_matchings(order):
+        through.setdefault(matching[0][1], []).append((mask, matching))
     solutions: list[FiniteLoop] = []
-    used: set[Edge] = set()
-    chosen: dict[int, tuple[Edge, ...]] = {}
     nodes = 0
 
-    def place(a: int):
+    def place(a: int, used: int, chosen: tuple[tuple[Edge, ...], ...]):
         nonlocal nodes
         if a == order:
-            solutions.append(_loop_from_matchings(order, chosen.items()))
+            solutions.append(_loop_from_matchings(order, enumerate(chosen, 1)))
             return
-        free = [e for e in all_edges if e not in used and 0 not in e and a not in e]
-        rest = tuple(v for v in range(1, order) if v != a)
-        for tail in _matchings(free, rest):
+        for mask, matching in through[a]:
+            if mask & used:
+                continue
             nodes += 1
             if nodes > caps.color_search:
                 raise SizeCapExceeded("coloring search nodes", nodes, caps.color_search)
-            chosen[a] = matching = ((0, a),) + tail
-            used.update(matching)
-            place(a + 1)
-            used.difference_update(matching)
-            del chosen[a]
+            place(a + 1, used | mask, chosen + (matching,))
 
-    place(1)
+    place(1, 0, ())
     return solutions
 
 
 def count_one_factorizations(n_vertices: int) -> int:
     """Count the partitions of K_n's edges into perfect matchings.
 
-    Shares the matching generator ``_matchings`` with the loop enumeration
-    above, but keeps its own bookkeeping: this backtracker anchors the
-    smallest uncovered edge, read off the set of remaining edges, matches
-    only the remaining edges that avoid both of its ends, and counts edge
-    sets without building loops.  That anchor is always an edge {0, k}, so
-    the matchings visited are the enumerator's; what the cross-check compares
-    is the bookkeeping, not the partition of the search.
+    Shares the matching table with the loop enumeration above, but keeps its
+    own bookkeeping: this backtracker anchors the smallest uncovered edge,
+    the lowest unset bit of the used-edge mask, tries only the matchings whose
+    lowest edge it is (every edge below it is used), and counts edge sets
+    without building loops.  That anchor is always an edge {0, k}, so the
+    matchings visited are the enumerator's; what the cross-check compares is
+    the bookkeeping, not the partition of the search.
     """
     if n_vertices % 2 != 0:
         raise OddOrder(f"{n_vertices} vertices admit no perfect matching")
-    vertices = tuple(range(n_vertices))
-    count = 0
+    by_lowest: dict[int, list[int]] = {}
+    every_edge = 0
+    for mask, _ in _perfect_matchings(n_vertices):
+        by_lowest.setdefault(mask & -mask, []).append(mask)
+        every_edge |= mask
 
-    def rec(remaining: frozenset[Edge]):
-        nonlocal count
-        if not remaining:
-            count += 1
-            return
-        anchor = u, v = min(remaining)
-        # every matching through the anchor is the anchor plus a matching of the other vertices
-        rest_v = tuple(w for w in vertices if w != u and w != v)
-        avail = sorted(e for e in remaining if u not in e and v not in e)
-        for tail in _matchings(avail, rest_v):
-            rec(remaining.difference(tail, (anchor,)))
+    def rec(used: int) -> int:
+        if used == every_edge:
+            return 1
+        return sum(rec(used | m) for m in by_lowest[~used & (used + 1)] if not m & used)
 
-    rec(frozenset(combinations(vertices, 2)))
-    return count
+    return rec(0)
 
 
 def coloring_to_text(coloring: EdgeColoring) -> str:

@@ -59,9 +59,10 @@ def build_lattice(
     """Close a family of subloops into a bounded inclusion lattice.
 
     The node set is the family plus bottom {e} and top L, closed under
-    pairwise intersection.  The meet closure makes the least upper bound of
-    two nodes a node, and it is their smallest common superset, so the join
-    is the first node in size order that contains both.
+    pairwise intersection, so the least upper bound of two nodes is a node.
+    In size order, the join is the lowest set bit of the two nodes' up-sets'
+    intersection and the meet the highest of their down-sets' (bitmasks of
+    node indices; Ait-Kaci, Boyer, Lincoln and Nasr, TOPLAS 1989).
     """
     top = frozenset(range(L.size))
     seeds = (S.as_set() if isinstance(S, SubLoop) else frozenset(S) for S in family)
@@ -78,22 +79,19 @@ def build_lattice(
                 if len(grown) > caps.lattice_build:
                     raise ClosureBlowup("lattice nodes", len(grown), caps.lattice_build)
     ordered = sorted(grown, key=lambda s: (len(s), sorted(s)))
-    index = {s: i for i, s in enumerate(ordered)}
-    n = len(ordered)
-    meet = [[0] * n for _ in range(n)]
-    join = [[0] * n for _ in range(n)]
-    for i, a in enumerate(ordered):
-        for j, b in enumerate(ordered[i:], i):
-            union = a | b
-            meet[i][j] = meet[j][i] = index[a & b]
-            join[i][j] = join[j][i] = next(
-                (k for k in range(j, n) if union <= ordered[k]), index[top]
-            )
+    # bit j of up[i] (bit i of down[j]) marks node i inside node j
+    up = [0] * len(ordered)
+    down = up[:]
+    for j, b in enumerate(ordered):
+        for i, a in enumerate(ordered[: j + 1]):
+            if a <= b:
+                up[i] |= 1 << j
+                down[j] |= 1 << i
     return InclusionLattice(
         labels=L.labels,
         nodes=tuple(tuple(sorted(s)) for s in ordered),
-        meet=tuple(tuple(r) for r in meet),
-        join=tuple(tuple(r) for r in join),
+        meet=tuple(tuple((d & e).bit_length() - 1 for e in down) for d in down),
+        join=tuple(tuple(((m := u & v) & -m).bit_length() - 1 for v in up) for u in up),
     )
 
 

@@ -22,10 +22,10 @@ from .core import (
     _close,
     _cosets,
     _in_nucleus,
-    associator,
     certify_subloop,
     commutator,
     cyclic_closures,
+    division,
     generated_subloop,
     is_associative,
     is_commutative_subset,
@@ -208,13 +208,13 @@ class DerivedKind(enum.Enum):
 
 
 def _associators(L: FiniteLoop) -> set[int]:
-    """Associators of all triples of L."""
-    size = L.size
+    """Associators of all triples of L, read as x(yz) \\ (xy)z along rows of the table."""
+    t = L.table
+    ld = division(L)[0]
     gens = set()
-    for x in range(size):
-        for y in range(size):
-            for z in range(size):
-                gens.add(associator(L, x, y, z))
+    for row_x in t:
+        for y, xy in enumerate(row_x):
+            gens.update(ld[p][q] for p, q in zip(map(row_x.__getitem__, t[y]), t[xy]))
     return gens
 
 

@@ -33,7 +33,7 @@ from functools import cache
 from itertools import combinations, permutations
 
 from loupe import build_ln, cyclic_group, direct_product, symmetric_group
-from loupe.coloring import Edge, EdgeColoring, _matchings, validate_proper
+from loupe.coloring import Edge, EdgeColoring, validate_proper
 from loupe.config import DEFAULT_CAPS, Caps
 
 from loupe.core import (
@@ -1289,6 +1289,22 @@ def forbidden_sublattice_by_counting(lat: InclusionLattice, shape: str) -> tuple
         if _is_sublattice(lat, subset) and shape_by_counting(lat, subset) == shape:
             return subset
     return None
+
+
+def _matchings(edges: list[Edge], vertices: tuple[int, ...]):
+    """Perfect matchings on ``vertices`` drawn from ``edges``, lexicographically."""
+    if not vertices:
+        yield ()
+        return
+    v = vertices[0]
+    for e in edges:
+        if v in e:
+            u = e[0] if e[1] == v else e[1]
+            if u in vertices:
+                rest_v = tuple(w for w in vertices if w not in e)
+                rest_e = [f for f in edges if v not in f and u not in f]
+                for tail in _matchings(rest_e, rest_v):
+                    yield (e,) + tail
 
 
 def enumerate_involutory_right_alt_by_validation(

@@ -6,9 +6,12 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from loupe import build_ln, cli, cyclic_group, direct_product, identities, symmetric_group
 from loupe.cli import load_loop, loop_from_json, loop_to_csv, loop_to_json, main
+from loupe.coloring import coloring_to_text, loop_to_coloring
 from loupe.config import Caps
 
 from conftest import family_params
@@ -411,3 +414,35 @@ def test_kernel_key_error_is_internal(monkeypatch, capsys):
     assert code == 1
     assert out == ""
     assert err.startswith("internal error:")
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 5) | st.floats(-2, 5) | st.text("ea01", max_size=2),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text("ea", max_size=2), inner, max_size=2),
+    max_leaves=12,
+)
+_LOOP_DOCUMENTS = st.fixed_dictionaries(
+    {},
+    optional={
+        "table": st.lists(st.lists(st.integers(-1, 4), max_size=4), max_size=4) | _JSON_VALUES,
+        "labels": st.lists(st.text("ea01", max_size=2), max_size=4) | _JSON_VALUES,
+        "size": st.integers(-1, 5) | _JSON_VALUES,
+    },
+).map(json.dumps)
+_TOKENS = st.integers(-2, 8).map(str) | st.sampled_from(["", "x", "1.5", "-", "{", "[0]"])
+_CSV_TEXTS = st.lists(st.lists(_TOKENS, max_size=5).map(",".join), max_size=5).map("\n".join)
+_EDGE_LINES = st.lists(st.lists(_TOKENS, max_size=4).map(" ".join), max_size=12).map("\n".join)
+_PROPER_COLORINGS = st.sampled_from(
+    [coloring_to_text(loop_to_coloring(L)).splitlines() for L in (cyclic_group(2), build_ln(5, 2))]
+).flatmap(st.permutations).map("\n".join)
+_COLORING_TEXTS = _EDGE_LINES | _PROPER_COLORINGS | st.tuples(_PROPER_COLORINGS, _EDGE_LINES).map("\n".join)
+
+
+@settings(max_examples=150)
+@given(text=_LOOP_DOCUMENTS | _CSV_TEXTS | _COLORING_TEXTS)
+def test_loaders_exit_0_or_2_on_generated_input(tmp_path_factory, text):
+    # a loop file or coloring file is input: whatever it holds, it is never an internal error
+    path = tmp_path_factory.mktemp("fuzz") / "input.txt"
+    path.write_text(text, encoding="utf-8")
+    assert main(["report", "--loop", str(path)]) in (0, 2), text
+    assert main(["color", "to-loop", "--coloring", str(path)]) in (0, 2), text

@@ -17,12 +17,14 @@ from loupe.coloring import (
     loop_to_coloring,
     validate_proper,
 )
+from loupe.config import Caps
 from loupe.errors import (
     ImproperColoring,
     NoIdentity,
     NotInvolutory,
     NotRightAlternative,
     OddOrder,
+    SizeCapExceeded,
 )
 from loupe.identities import Law, check_law
 from loupe.smarandache import is_s_loop
@@ -136,15 +138,23 @@ def test_text_format_roundtrip():
 
 
 def test_order_cap():
-    from loupe.config import Caps
-    from loupe.errors import SizeCapExceeded
-
     with pytest.raises(SizeCapExceeded):
         enumerate_involutory_right_alt(10)
     with pytest.raises(OddOrder):
         enumerate_involutory_right_alt(5)
     with pytest.raises(SizeCapExceeded):
         enumerate_involutory_right_alt(8, Caps(color_search=100))
+
+
+@pytest.mark.parametrize("order, nodes", [(4, 3), (6, 29), (8, 23_571)])
+def test_color_search_cap_is_exact(order, nodes):
+    # each matching through {0, a} that misses the used edges is one search node
+    loops = enumerate_involutory_right_alt(order, Caps(color_search=nodes))
+    assert len(loops) == count_one_factorizations(order)
+    with pytest.raises(
+        SizeCapExceeded, match=rf"coloring search nodes exceeded cap \({nodes} > {nodes - 1}\)"
+    ):
+        enumerate_involutory_right_alt(order, Caps(color_search=nodes - 1))
 
 
 def _loops_with_colorings():
