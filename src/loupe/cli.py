@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from functools import cache
 
@@ -534,7 +535,14 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:
-        return args.func(args, caps)
+        status = args.func(args, caps)
+        sys.stdout.flush()  # a reader gone early is met here, not at exit
+        return status
+    except BrokenPipeError:
+        # the reader stopped, which is no input fault; stdout is flushed again
+        # at exit, so point it at devnull before that write can fail once more
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except CapExceeded as exc:
         print(f"cap error: {exc}", file=sys.stderr)
         return 1

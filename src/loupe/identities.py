@@ -15,9 +15,10 @@ from __future__ import annotations
 
 import enum
 from collections import Counter
+from functools import partial
 from itertools import chain, combinations
 from math import comb
-from operator import itemgetter
+from operator import methodcaller
 
 from . import substructures
 from .config import DEFAULT_CAPS, Caps
@@ -341,31 +342,41 @@ def special_commutativity(
 def multiplication_group(L: FiniteLoop, cap: int = DEFAULT_CAPS.mlt) -> list[tuple[int, ...]]:
     """Closure of all left/right translations under composition, sorted.
 
+    Dimino's algorithm (Dimino 1971; Butler, *Fundamental Algorithms for
+    Permutation Groups*, LNCS 559, 1991): each translation s outside the group
+    H built so far extends it to <H, s>, listed as right cosets Hg.  Starting
+    from the representative e, every product rt of a representative r with a
+    generator t taken so far that is not yet seen brings in its whole coset Hrt
+    and becomes a representative; once all products land in known cosets, their
+    union is closed.  Every element is formed once, inside its coset.  Up to
+    order 256 permutations are ``bytes`` and ``p.translate(q + pad)`` applies p
+    then q at C level; above, they are tuples composed by ``compose``.
+
     Raises ``CapExceeded`` (reporting ``cap + 1`` permutations) as soon as the
     group is known to exceed ``cap``, before returning anything partial.
     """
-    identity = tuple(range(L.size))
-    gens = (set(map(tuple, L.table)) | set(zip(*L.table))) - {identity}
-    # itemgetter(*g)(p) is compose(p, g) run at C level; a loop of order 1 has
-    # no generator, so no getter is built on a single index (which would
-    # return a scalar, not a tuple)
-    getters = [itemgetter(*g) for g in gens]
-    seen = gens | {identity}
-    frontier = list(seen)
-    while frontier and len(seen) <= cap:
-        fresh = []
-        for p in frontier:
-            for get in getters:
-                q = get(p)
-                if q not in seen:
-                    seen.add(q)
-                    fresh.append(q)
-            if len(seen) > cap:
-                break
-        frontier = fresh
-    if len(seen) > cap:
-        raise CapExceeded("multiplication group", cap + 1, cap)
-    return sorted(seen)
+    n = L.size
+    if n <= 256:
+        perm, then = bytes, lambda q, pad=bytes(256 - n): methodcaller("translate", q + pad)
+    else:
+        perm, then = tuple, lambda q: partial(compose, q)
+    identity = perm(range(n))
+    gens = sorted((set(map(perm, L.table)) | set(map(perm, zip(*L.table)))) - {identity})
+    seen, moves = {identity}, []
+    for s in gens:
+        if s in seen:
+            continue
+        moves.append(then(s))
+        H, reps = list(seen), [identity]
+        for r in reps:  # reps grows while it is walked
+            for move in moves:
+                g = move(r)
+                if g not in seen:
+                    seen.update(map(then(g), H))
+                    if len(seen) > cap:
+                        raise CapExceeded("multiplication group", cap + 1, cap)
+                    reps.append(g)
+    return list(map(tuple, sorted(seen)))
 
 
 def inner_mapping_group(L: FiniteLoop, cap: int = DEFAULT_CAPS.mlt) -> list[tuple[int, ...]]:

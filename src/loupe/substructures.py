@@ -207,14 +207,20 @@ class DerivedKind(enum.Enum):
     STRONGLY_PSEUDO_ASSOCIATOR = "strongly_pseudo_associator"
 
 
-def _associators(L: FiniteLoop) -> set[int]:
-    """Associators of all triples of L, read as x(yz) \\ (xy)z along rows of the table."""
-    t = L.table
-    ld = division(L)[0]
+def _associator_scan(t, ld) -> frozenset[int]:
+    """Associators of all triples, read as x(yz) \\ (xy)z along rows of the table."""
     gens = set()
     for row_x in t:
         for y, xy in enumerate(row_x):
             gens.update(ld[p][q] for p, q in zip(map(row_x.__getitem__, t[y]), t[xy]))
+    return frozenset(gens)
+
+
+def _associators(L: FiniteLoop) -> frozenset[int]:
+    """Associators of all triples of L, scanned once per loop and memoised on it."""
+    gens = L._memo.get("associators")
+    if gens is None:
+        gens = L._memo["associators"] = _associator_scan(L.table, division(L)[0])
     return gens
 
 

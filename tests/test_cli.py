@@ -2,6 +2,8 @@
 
 import importlib.util
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -414,6 +416,24 @@ def test_kernel_key_error_is_internal(monkeypatch, capsys):
     assert code == 1
     assert out == ""
     assert err.startswith("internal error:")
+
+
+def test_reader_that_stops_early_is_no_input_error():
+    # about 1 MB of output: the writer is still printing, far past the pipe's
+    # buffer, when the reader closes its end after the first line
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "loupe.cli", "color", "enumerate", "--order", "8"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    assert proc.stdout.readline() == b"count: 6240\n"
+    proc.stdout.close()
+    try:
+        _, err = proc.communicate(timeout=60)
+    finally:
+        proc.kill()
+    assert proc.returncode == 1
+    assert b"Broken pipe" not in err and b"error:" not in err, err
 
 
 _JSON_VALUES = st.recursive(

@@ -95,6 +95,28 @@ def test_mlt_layer_agrees_with_closure_oracles(cases):
             assert _outcome(is_arif, warm, cap) == arif, name
 
 
+@pytest.mark.parametrize("n", [256, 257], ids=["bytes", "tuples"])
+def test_mlt_of_a_cyclic_group_is_its_rows(n):
+    # order 256 composes bytes permutations, order 257 tuples; every translation
+    # of Z_n is a row, and the rows form the group
+    L = cyclic_group(n)
+    assert multiplication_group(L, n) == sorted(L.table)
+    assert _outcome(multiplication_group, dataclasses.replace(L), n - 1) == _cap_error(n - 1)
+
+
+def test_cap_one_below_the_group_order_binds_inside_the_last_coset(cases):
+    """L_7(3) (|Mlt| = 20,160) and the order-8 loop with Mlt = S_8 (40,320) close
+    their last generator in cosets of 6 and of 120 elements, so |Mlt| - 1 is
+    crossed in the middle of the last coset added."""
+    big = [(name, L, mlt) for name, L, _, (mlt, *_) in cases if len(mlt) in (20160, 40320)]
+    assert {len(mlt) for _, _, mlt in big} == {20160, 40320}
+    assert "L7(3)" in {name for name, _, _ in big}
+    for name, L, mlt in big:
+        order = len(mlt)
+        assert multiplication_group(dataclasses.replace(L), order) == mlt, name
+        assert _outcome(multiplication_group, dataclasses.replace(L), order - 1) == _cap_error(order - 1), name
+
+
 def _close(gens, n):
     identity = tuple(range(n))
     seen, frontier = {identity}, [identity]

@@ -1,5 +1,6 @@
 """Subgroup-bearing structure: S-flags, relative substructures, cosets, hyperloops."""
 
+import dataclasses
 import random
 from itertools import count, islice
 
@@ -56,6 +57,7 @@ from loupe.smarandache import (
 from loupe.substructures import all_subloops
 
 from oracles import (
+    associators_by_scan,
     centre_by_scan,
     commutant_by_scan,
     hyper_partition_check_by_scan,
@@ -255,6 +257,27 @@ def test_relative_substructures():
         assert relative_substructure(L, whole, RelativeKind.NUCLEUS).elements == (0,)
         sc = relative_substructure(L, whole, RelativeKind.CENTRE)
         assert sc.elements == (0,)
+
+
+def test_relative_associator_scans_the_loop_once(corpus, monkeypatch):
+    """The relative associator and the derived one read the associators of L,
+    memoised on L: one n^3 scan serves a whole census."""
+    from loupe import substructures
+    from loupe.core import generated_subloop
+    from loupe.substructures import DerivedKind, derived_subloop
+
+    scans = []
+    scan = substructures._associator_scan
+    monkeypatch.setattr(substructures, "_associator_scan", lambda t, ld: scans.append(t) or scan(t, ld))
+    for name, L in corpus.items():
+        associators = associators_by_scan(L)
+        fresh = dataclasses.replace(L)
+        for A in all_subloops(fresh).subloops:
+            expected = generated_subloop(L, associators & A.as_set())
+            assert relative_substructure(fresh, A, RelativeKind.ASSOCIATOR) == expected, (name, A)
+        assert derived_subloop(fresh, DerivedKind.ASSOCIATOR) == generated_subloop(L, associators), name
+        assert len(scans) == 1, name
+        scans.clear()
 
 
 def test_relative_normalizers_match_plain_ones():
