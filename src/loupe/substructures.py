@@ -6,7 +6,11 @@ subloop strictly containing a found one contains a one-element extension of
 it, so the process is complete.  An extension <S, g> is formed for one g per
 left coset gS.  In a group it is found by a coset search over the generators
 of S and g (``_coset_search``); in any other loop it is closed from S with
-only g queued.
+only g queued.  As in Neubüser's cyclic extension (1960), what extending a
+cyclic S = <x> by g proves is kept: <x, b> = <S, g> for every b in gS.  Since
+<S, g> = <S, b> for each such b, the census skips <S, g> when some a in S and
+some b in gS have <a, b> = L, and skips <x, g> when some <x, b> is already
+formed; a closure stops at L once it holds such a spanning pair.
 """
 
 from __future__ import annotations
@@ -63,8 +67,14 @@ def all_subloops(L: FiniteLoop, caps: Caps = DEFAULT_CAPS) -> SubloopCensus:
     follow from that one verdict (see ``is_subgroup`` and
     ``normality_witness``), and each extension is a coset search.  Each
     subloop is carried with the generators it was found from: (x,) for <x>
-    and those of S plus g for <S, g>.  The caps apply on every call,
-    memoised or not.
+    and those of S plus g for <S, g>.  A pair memo, kept for one census,
+    records what each extension of a cyclic <x> by g proves about the pairs
+    (x, b), b in gS: whether <x, b> is L (``spans``) and that it is already
+    found (``paired``).  An extension <S, g> is L, and is not formed, when
+    <a, b> = L for some a in S and b in gS; an extension of <x> by g is not
+    formed when <x, b> is already found for some b in gS; and a closure
+    returns L once it holds a spanning pair.  Each skipped coset still counts
+    as covered.  The caps apply on every call, memoised or not.
     """
     if L.size > caps.census_order:
         raise CapExceeded("census order", L.size, caps.census_order)
@@ -79,24 +89,46 @@ def all_subloops(L: FiniteLoop, caps: Caps = DEFAULT_CAPS) -> SubloopCensus:
             if key not in found:
                 found[key] = S
                 stack.append((S, (x,)))
+        # the pair memo: spans[a] holds the b with <a, b> = L (symmetric), and
+        # paired[b] the x of each cyclic <x> already extended whose <x, b> is found
+        spans: list[set[int]] = [set() for _ in range(L.size)]
+        paired: list[set[int]] = [set() for _ in range(L.size)]
         while stack:
             S, gens = stack.pop()
             if not S.is_proper():
                 continue
+            members = S.as_set()
+            x = gens[0] if len(gens) == 1 else None  # S = <x>
             # <S, g*s> = <S, g> for s in S (g = (g*s)/s), so one g per left coset gS
             covered = set(S.elements)
             for g in range(L.size):
                 if g in covered:
                     continue
-                covered.update(next(_cosets(L, S, "left", g, g + 1)))
-                t_gens = gens + (g,)
-                T = _coset_search(L, S, t_gens) if group else _close(L, {*S.elements, g}, [g])
-                key = T.as_set()
-                if key not in found:
-                    if len(found) >= caps.census:
-                        raise CapExceeded("census size", caps.census + 1, caps.census)
-                    found[key] = T
-                    stack.append((T, t_gens))
+                coset = next(_cosets(L, S, "left", g, g + 1))
+                covered.update(coset)
+                # <S, g> = <S, b> for b in gS, so it is L once some <a, b> is, a in S
+                spanning = any(not spans[b].isdisjoint(members) for b in coset)
+                if not spanning and (x is None or paired[x].isdisjoint(coset)):
+                    t_gens = gens + (g,)
+                    if group:
+                        T = _coset_search(L, S, t_gens)
+                    else:
+                        T = _close(L, {*members, g}, [g], spans)
+                    key = T.as_set()
+                    if key not in found:
+                        if len(found) >= caps.census:
+                            raise CapExceeded("census size", caps.census + 1, caps.census)
+                        found[key] = T
+                        stack.append((T, t_gens))
+                    spanning = not T.is_proper()
+                if x is not None:
+                    # <x, b> = <S, b> = <S, g> for every b in gS
+                    for b in coset:
+                        paired[b].add(x)
+                    if spanning:
+                        for b in coset:
+                            spans[b].add(x)
+                        spans[x].update(coset)
         subs = _canonical(found.values())
         census = L._memo["census"] = SubloopCensus(
             subloops=tuple(subs),

@@ -14,9 +14,10 @@ from loupe import (
     direct_product,
     symmetric_group,
 )
-from loupe import core
+from loupe import core, substructures
 from loupe.errors import CapExceeded
 from loupe.config import DEFAULT_CAPS, Caps
+from loupe.identities import is_power_associative
 from loupe.substructures import (
     DerivedKind,
     NucleusPosition,
@@ -35,6 +36,7 @@ from loupe.substructures import (
     second_normalizer,
 )
 
+from conftest import family_params
 from oracles import (
     census_by_extension,
     census_by_full_closure,
@@ -163,6 +165,51 @@ def test_s5_census_by_coset_search_matches_full_closure():
         messages.append(str(caught.value))
     assert messages[0] == messages[1]
     assert "(101 > 100)" in messages[0]
+
+
+def _census_outcome(run, L, caps):
+    try:
+        return run(L, caps)
+    except CapExceeded as exc:
+        return str(exc)
+
+
+def test_pair_memo_census_matches_both_oracles(corpus, klein):
+    """The pair memo skips extensions known to give L and pairs <x, b> already
+    formed; cold and warm, the census and every census cap still match the
+    memo-free full-closure census and the unpruned extension census."""
+    l52 = build_ln(5, 2)
+    loops = [(f"L{n}({m})", build_ln(n, m)) for n, m in family_params(21)]
+    loops += [("L5(2)xS3", direct_product(l52, symmetric_group(3)))]
+    loops += [("L5(2)xC2^2", direct_product(l52, klein))]
+    loops += [(name, L) for name, L in corpus.items() if not is_power_associative(L).holds]
+    loops += [(f"random_products[{i}]", L) for i, L in enumerate(random_products())]
+    assert len(loops) == 94 and "noncomm5" in dict(loops)
+    for name, L in loops:
+        expected = _census_cold_and_warm(L)
+        assert census_by_extension(dataclasses.replace(L)) == expected, name
+        count = len(expected.subloops)
+        for cap in sorted({1, 2, 3, count - 1, count} - {0}):
+            caps = Caps(census=cap)
+            want = _census_outcome(census_by_full_closure, dataclasses.replace(L), caps)
+            if count > cap:
+                assert want == f"census size exceeded cap ({cap + 1} > {cap})", (name, cap)
+            warm = dataclasses.replace(L)
+            census_by_full_closure(warm)
+            for G in (dataclasses.replace(L), warm):
+                assert _census_outcome(all_subloops, G, caps) == want, (name, cap)
+
+
+@pytest.mark.parametrize("n, m, bound", [(59, 2, 494), (45, 8, 551)])
+def test_pair_memo_bounds_the_extension_closures(monkeypatch, n, m, bound):
+    # without the memo these censuses close 1,770 and 1,827 extensions; testing
+    # only g of each coset gS against the memo, not all of gS, leaves 1,335 and 1,014
+    calls = []
+    close = substructures._close
+    monkeypatch.setattr(substructures, "_close", lambda *args: calls.append(1) or close(*args))
+    census = all_subloops(build_ln(n, m))
+    assert census == census_by_full_closure(build_ln(n, m))
+    assert len(calls) <= bound
 
 
 def test_normality():
