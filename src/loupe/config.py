@@ -19,7 +19,6 @@ class Caps:
     mlt: int = 50_000           # max permutations in a multiplication-group closure
     search: int = 1000          # max solutions in coset-cover / enumeration searches
     subset: int = 3             # max subset size for u.p. / t.u.p. scans
-    subset_pairs: int = 4_000_000  # max subset pairs a u.p. / t.u.p. scan may visit
     lattice_nodes: int = 40     # max lattice size for forbidden-sublattice search
     lattice_build: int = 2000   # max nodes while closing a lattice family
     color_search: int = 1_000_000  # max matching candidates while enumerating colorings

@@ -278,16 +278,12 @@ def generated_subloop(L: FiniteLoop, seed) -> SubLoop:
     return _close(L, elems, sorted(elems))
 
 
-def _close(L: FiniteLoop, elems: set, queue: list, spans=None) -> SubLoop:
+def _close(L: FiniteLoop, elems: set, queue: list) -> SubLoop:
     """Close ``elems`` (updated in place) under the product.
 
     Products of two elements of ``elems`` that are both off ``queue`` must
     already lie in ``elems``: seeding with a closed subloop S and queueing
-    only g closes <S, g> without re-multiplying S by itself.  A closed subset
-    on more than half the elements is the whole loop.  With ``spans``, where
-    ``spans[a]`` holds elements b known to give <a, b> = L, the whole loop is
-    also returned once an element added here has a partner in ``elems``; pairs
-    among the seed elements are the caller's to check.
+    only g closes <S, g> without re-multiplying S by itself.
     """
     size = L.size
     table = L.table
@@ -298,8 +294,6 @@ def _close(L: FiniteLoop, elems: set, queue: list, spans=None) -> SubLoop:
         for y in snapshot:
             for v in (table[x][y], table[y][x]):
                 if v not in elems:
-                    if spans and not spans[v].isdisjoint(elems):
-                        return SubLoop(tuple(range(size)), size)
                     elems.add(v)
                     queue.append(v)
         if len(elems) > half:

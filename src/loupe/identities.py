@@ -342,25 +342,18 @@ def special_commutativity(
 def multiplication_group(L: FiniteLoop, cap: int = DEFAULT_CAPS.mlt) -> list[tuple[int, ...]]:
     """Closure of all left/right translations under composition, sorted.
 
+    Dimino's algorithm (Dimino 1971; Butler, *Fundamental Algorithms for
+    Permutation Groups*, LNCS 559, 1991): each translation s outside the group
+    H built so far extends it to <H, s>, listed as right cosets Hg.  Starting
+    from the representative e, every product rt of a representative r with a
+    generator t taken so far that is not yet seen brings in its whole coset Hrt
+    and becomes a representative; once all products land in known cosets, their
+    union is closed.  Every element is formed once, inside its coset.  Up to
+    order 256 permutations are ``bytes`` and ``p.translate(q + pad)`` applies p
+    then q at C level; above, they are tuples composed by ``compose``.
+
     Raises ``CapExceeded`` (reporting ``cap + 1`` permutations) as soon as the
     group is known to exceed ``cap``, before returning anything partial.
-    """
-    return list(map(tuple, sorted(_mlt_elements(L, cap))))
-
-
-def _mlt_elements(L: FiniteLoop, cap: int) -> set:
-    """The multiplication group of L as a set of permutations, by Dimino's algorithm.
-
-    Dimino 1971; Butler, *Fundamental Algorithms for Permutation Groups*, LNCS
-    559, 1991: each translation s outside the group H built so far extends it
-    to <H, s>, listed as right cosets Hg.  Starting from the representative e,
-    every product rt of a representative r with a generator t taken so far that
-    is not yet seen brings in its whole coset Hrt and becomes a representative;
-    once all products land in known cosets, their union is closed.  Every
-    element is formed once, inside its coset.  Up to order 256 permutations are
-    ``bytes`` and ``p.translate(q + pad)`` applies p then q at C level; above,
-    they are tuples composed by ``compose``.  Both sort as the tuples they
-    stand for.
     """
     n = L.size
     if n <= 256:
@@ -383,20 +376,20 @@ def _mlt_elements(L: FiniteLoop, cap: int) -> set:
                     if len(seen) > cap:
                         raise CapExceeded("multiplication group", cap + 1, cap)
                     reps.append(g)
-    return seen
+    return list(map(tuple, sorted(seen)))
 
 
 def inner_mapping_group(L: FiniteLoop, cap: int = DEFAULT_CAPS.mlt) -> list[tuple[int, ...]]:
     """Members of the multiplication group fixing the identity, sorted.
 
-    Memoised on L as ``(|Mlt|, Inn)``, so Mlt is closed at most once per loop,
-    and only its members that fix e are sorted; a memo hit checks ``cap``
-    against the stored |Mlt| and raises exactly what a fresh closure would.
+    Memoised on L as ``(|Mlt|, Inn)``, so Mlt is closed at most once per loop;
+    a memo hit checks ``cap`` against the stored |Mlt| and raises exactly what
+    a fresh closure would.
     """
     memo = L._memo.get("inn")
     if memo is None:
-        mlt = _mlt_elements(L, cap)
-        memo = L._memo["inn"] = (len(mlt), tuple(map(tuple, sorted(p for p in mlt if p[0] == 0))))
+        mlt = multiplication_group(L, cap)
+        memo = L._memo["inn"] = (len(mlt), tuple(p for p in mlt if p[0] == 0))
     mlt_order, inn = memo
     if mlt_order > cap:
         raise CapExceeded("multiplication group", cap + 1, cap)
@@ -475,24 +468,18 @@ def _nonempty_subsets(size: int, max_size: int):
     return chain.from_iterable(combinations(elems, r) for r in range(1, max_size + 1))
 
 
-def up_tup_check(
-    L: FiniteLoop,
-    mode: str,
-    max_subset_size: int = DEFAULT_CAPS.subset,
-    max_pairs: int = DEFAULT_CAPS.subset_pairs,
-) -> Verdict:
+def up_tup_check(L: FiniteLoop, mode: str, max_subset_size: int = DEFAULT_CAPS.subset) -> Verdict:
     """Unique-product scans over bounded subset pairs.
 
     ``mode`` is "up" (at least one uniquely represented product per pair) or
-    "tup" (at least two, over pairs with |A| + |B| > 2).  More than
-    ``max_pairs`` subset pairs raise ``SizeCapExceeded`` before any is scanned.
+    "tup" (at least two, over pairs with |A| + |B| > 2).
     """
     if mode not in ("up", "tup"):
         raise ValueError("mode must be 'up' or 'tup'")
     max_size = min(max_subset_size, L.size)
     subset_count = sum(comb(L.size, r) for r in range(1, max_size + 1))
-    if subset_count * subset_count > max_pairs:
-        raise SizeCapExceeded("subset pairs", subset_count * subset_count, max_pairs)
+    if subset_count * subset_count > 4_000_000:
+        raise SizeCapExceeded("subset pairs", subset_count * subset_count, 4_000_000)
     need = 1 if mode == "up" else 2
 
     def enough_unique(t, ld, A, B) -> bool:

@@ -10,7 +10,7 @@ only g queued.  As in Neubüser's cyclic extension (1960), what extending a
 cyclic S = <x> by g proves is kept: <x, b> = <S, g> for every b in gS.  Since
 <S, g> = <S, b> for each such b, the census skips <S, g> when some a in S and
 some b in gS have <a, b> = L, and skips <x, g> when some <x, b> is already
-formed; a closure stops at L once it holds such a spanning pair.
+formed.
 """
 
 from __future__ import annotations
@@ -72,9 +72,8 @@ def all_subloops(L: FiniteLoop, caps: Caps = DEFAULT_CAPS) -> SubloopCensus:
     (x, b), b in gS: whether <x, b> is L (``spans``) and that it is already
     found (``paired``).  An extension <S, g> is L, and is not formed, when
     <a, b> = L for some a in S and b in gS; an extension of <x> by g is not
-    formed when <x, b> is already found for some b in gS; and a closure
-    returns L once it holds a spanning pair.  Each skipped coset still counts
-    as covered.  The caps apply on every call, memoised or not.
+    formed when <x, b> is already found for some b in gS.  Each skipped coset
+    still counts as covered.  The caps apply on every call, memoised or not.
     """
     if L.size > caps.census_order:
         raise CapExceeded("census order", L.size, caps.census_order)
@@ -110,10 +109,7 @@ def all_subloops(L: FiniteLoop, caps: Caps = DEFAULT_CAPS) -> SubloopCensus:
                 spanning = any(not spans[b].isdisjoint(members) for b in coset)
                 if not spanning and (x is None or paired[x].isdisjoint(coset)):
                     t_gens = gens + (g,)
-                    if group:
-                        T = _coset_search(L, S, t_gens)
-                    else:
-                        T = _close(L, {*members, g}, [g], spans)
+                    T = _coset_search(L, S, t_gens) if group else _close(L, {*members, g}, [g])
                     key = T.as_set()
                     if key not in found:
                         if len(found) >= caps.census:

@@ -6,8 +6,7 @@ import pytest
 
 from loupe import build_ln, cyclic_group, direct_product, symmetric_group
 from loupe.core import associativity_failure
-from loupe.config import Caps
-from loupe.errors import NotIPLoop, SizeCapExceeded
+from loupe.errors import NotIPLoop
 from loupe.identities import (
     Law,
     SpecialKind,
@@ -274,17 +273,3 @@ def test_up_tup_checks():
     for L in (build_ln(5, 2), cyclic_group(4)):
         assert not up_tup_check(L, "up").holds
         assert not up_tup_check(L, "tup").holds
-
-
-def test_subset_pair_bound_is_a_cap(monkeypatch):
-    # order 30 has 30 + 435 + 4060 subsets of size <= 3: refused before any is scanned
-    with pytest.raises(SizeCapExceeded, match=r"^subset pairs exceeded cap \(20475625 > 4000000\)$"):
-        up_tup_check(cyclic_group(30), "up")
-    # Z_4 has 4 + 6 + 4 = 14 such subsets, so 196 pairs
-    monkeypatch.setenv("LOUPE_CAPS", "subset_pairs=195")
-    caps = Caps.from_env()
-    with pytest.raises(SizeCapExceeded, match=r"\(196 > 195\)"):
-        up_tup_check(cyclic_group(4), "up", caps.subset, caps.subset_pairs)
-    monkeypatch.setenv("LOUPE_CAPS", "subset_pairs=196")
-    caps = Caps.from_env()
-    assert not up_tup_check(cyclic_group(4), "up", caps.subset, caps.subset_pairs).holds

@@ -203,7 +203,9 @@ def test_pair_memo_census_matches_both_oracles(corpus, klein):
 @pytest.mark.parametrize("n, m, bound", [(59, 2, 494), (45, 8, 551)])
 def test_pair_memo_bounds_the_extension_closures(monkeypatch, n, m, bound):
     # without the memo these censuses close 1,770 and 1,827 extensions; testing
-    # only g of each coset gS against the memo, not all of gS, leaves 1,335 and 1,014
+    # only g of each coset gS against the memo, not all of gS, leaves 1,335 and 1,014.
+    # Either skip alone brings L_59(2) to 494, but L_45(8) needs both: it closes
+    # 902 without the skip of pairs already found and 1,031 without the spanning one
     calls = []
     close = substructures._close
     monkeypatch.setattr(substructures, "_close", lambda *args: calls.append(1) or close(*args))
