@@ -335,11 +335,9 @@ def cmd_color(args, caps: Caps) -> int:
         if args.order is None:
             raise ValueError("enumerate needs --order")
         loops = coloring_mod.enumerate_involutory_right_alt(args.order, caps)
-        blocks = []
-        for L in loops:
-            blocks.append("\n".join(representation.render_representation(L)))
-        text = f"count: {len(loops)}\n\n" + "\n\n".join(blocks)
-        emit(args, text, {"count": len(loops), "blocks": [b.splitlines() for b in blocks]})
+        rendered = representation.render_representations(loops)
+        text = f"count: {len(loops)}\n\n" + "\n\n".join(map("\n".join, rendered))
+        emit(args, text, {"count": len(loops), "blocks": rendered})
         return 0
     if args.action == "from-loop":
         L = resolve_loop(args)

@@ -14,6 +14,9 @@ each class is a perfect matching holding one edge {0, v}; naming that class
 v writes a loop with identity 0.  No other naming does: column 0 is the
 identity map and every other column is fixed-point-free.  The enumerator and
 the counter search one list of K_n's perfect matchings, each an edge bitmask.
+Both directions into a loop build the involution column of each matching and
+read the rows off the columns; the enumerator builds each column once and
+shares it among all the loops that use it.
 """
 
 from __future__ import annotations
@@ -78,18 +81,23 @@ def validate_proper(coloring: EdgeColoring) -> Verdict:
     return Verdict(True)
 
 
-def _loop_from_matchings(n: int, matchings) -> FiniteLoop:
-    """The loop whose column a swaps the ends of each edge in a's matching; column 0 is e.
+def _column(n: int, matching) -> tuple[int, ...]:
+    """The involution of range(n) that swaps the two ends of each edge in ``matching``."""
+    column = list(range(n))
+    for u, v in matching:
+        column[u] = v
+        column[v] = u
+    return tuple(column)
 
-    ``matchings`` pairs each a != 0 with a perfect matching through {0, a};
-    partitioning K_n's edges, they make a Latin square with identity 0.
+
+def _loop_from_columns(n: int, columns, labels: tuple[str, ...]) -> FiniteLoop:
+    """The loop whose column 0 is e and whose column a is ``columns[a - 1]``.
+
+    Each column is the involution of a perfect matching through {0, a}; when
+    the matchings partition K_n's edges the table is a Latin square with
+    identity 0, and row x is read off the columns by ``zip``.
     """
-    table = [[x] * n for x in range(n)]
-    for a, matching in matchings:
-        for u, v in matching:
-            table[u][a] = v
-            table[v][a] = u
-    return FiniteLoop(n, tuple(map(tuple, table)), default_labels(n))
+    return FiniteLoop(n, tuple(zip(range(n), *columns)), labels)
 
 
 def loop_to_coloring(L: FiniteLoop) -> EdgeColoring:
@@ -123,7 +131,9 @@ def coloring_to_loop(coloring: EdgeColoring) -> FiniteLoop:
     if len(classes) != n - 1:
         raise ValueError(f"K_{n} was given {len(classes)} colors where a loop needs {n - 1}")
     # color_of is sorted, so each class starts with its edge {0, v}
-    return _loop_from_matchings(n, ((edges[0][1], edges) for edges in classes.values()))
+    by_v = {edges[0][1]: edges for edges in classes.values()}
+    columns = [_column(n, by_v[v]) for v in range(1, n)]
+    return _loop_from_columns(n, columns, default_labels(n))
 
 
 def _perfect_matchings(n: int) -> list[tuple[int, tuple[Edge, ...]]]:
@@ -159,24 +169,26 @@ def enumerate_involutory_right_alt(
         raise OddOrder(f"order {order} is not even and positive")
     if order > 8:
         raise SizeCapExceeded("enumeration order", order, 8)
-    through: dict[int, list[tuple[int, tuple[Edge, ...]]]] = {}
+    # each matching becomes its column once; every solution's rows are read off these
+    through: dict[int, list[tuple[int, tuple[int, ...]]]] = {}
     for mask, matching in _perfect_matchings(order):
-        through.setdefault(matching[0][1], []).append((mask, matching))
+        through.setdefault(matching[0][1], []).append((mask, _column(order, matching)))
+    labels = default_labels(order)
     solutions: list[FiniteLoop] = []
     nodes = 0
 
-    def place(a: int, used: int, chosen: tuple[tuple[Edge, ...], ...]):
+    def place(a: int, used: int, chosen: tuple[tuple[int, ...], ...]):
         nonlocal nodes
         if a == order:
-            solutions.append(_loop_from_matchings(order, enumerate(chosen, 1)))
+            solutions.append(_loop_from_columns(order, chosen, labels))
             return
-        for mask, matching in through[a]:
+        for mask, column in through[a]:
             if mask & used:
                 continue
             nodes += 1
             if nodes > caps.color_search:
                 raise SizeCapExceeded("coloring search nodes", nodes, caps.color_search)
-            place(a + 1, used | mask, chosen + (matching,))
+            place(a + 1, used | mask, chosen + (column,))
 
     place(1, 0, ())
     return solutions

@@ -58,18 +58,22 @@ def _check_n(n: int) -> None:
 
 
 def build_ln(n: int, m: int) -> FiniteLoop:
-    """The loop L_n(m) of order n+1 with identity e at index 0."""
+    """The loop L_n(m) of order n+1 with identity e at index 0.
+
+    For i != j, i*j = m*(j + s_i) mod n with s_i = i/m - i, so row i is the
+    base sequence m*k mod n (residues in 1..n) rotated by s_i, with e on the
+    diagonal.
+    """
     params = LnParams(n, m)
     size = params.order
+    base = [(m * k) % n or n for k in range(n)] * 2
+    inverse = pow(m, -1, n)
     rows = [tuple(range(size))]
     for i in range(1, size):
-        row = [i]
-        for j in range(1, size):
-            if i == j:
-                row.append(0)
-            else:
-                row.append((m * j - (m - 1) * i) % n or n)
-        rows.append(tuple(row))
+        start = (i * inverse - i + 1) % n  # column j reads base[j + s_i], from j = 1
+        row = base[start:start + n]
+        row[i - 1] = 0
+        rows.append((i, *row))
     return FiniteLoop(size=size, table=tuple(rows), labels=default_labels(size))
 
 

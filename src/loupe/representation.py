@@ -40,8 +40,30 @@ def render_cycles(perm: Permutation, labels) -> str:
     return " ".join(parts) if parts else "I"
 
 
+def render_representations(loops) -> list[list[str]]:
+    """Each loop's translations in cycle notation, R_e first.
+
+    Within one call each distinct (labels, R_a) is rendered once and its
+    string reused: the loops of one order share their labels, and many of
+    their translations are the same permutation.
+    """
+    rendered: dict[tuple[str, ...], dict[Permutation, str]] = {}
+    out = []
+    for L in loops:
+        labels = L.labels
+        seen = rendered.setdefault(labels, {})
+        lines = []
+        for perm in right_regular_representation(L):
+            line = seen.get(perm)
+            if line is None:
+                line = seen[perm] = render_cycles(perm, labels)
+            lines.append(line)
+        out.append(lines)
+    return out
+
+
 def render_representation(L: FiniteLoop) -> list[str]:
-    return [render_cycles(p, L.labels) for p in right_regular_representation(L)]
+    return render_representations([L])[0]
 
 
 def validate_albert(perms: list[Permutation]) -> Verdict:
@@ -133,6 +155,7 @@ __all__ = [
     "cycle_class",
     "render_cycles",
     "render_representation",
+    "render_representations",
     "validate_albert",
     "RepresentationReport",
     "representation_report",

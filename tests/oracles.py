@@ -14,11 +14,12 @@ every node, enumerated colorings are filtered through their forced edge and
 revalidated, loops are colored by walking the cycles of every translation,
 colorings are rebuilt into tables that are revalidated, one-factorizations
 are counted by filtering every matching through its anchor edge, hyperloop
-partitions are decided by scanning every pair set, and every coset is formed
-by its own formula: normalizers compare the two sides at each element, coset
-covers are searched over cosets written out from the table, and quotients
-check that the cosets are disjoint and multiply well-definedly, then
-revalidate the table.  Nuclei, commutants and centres scan every pair of a
+partitions are decided by scanning every pair set, L_n(m) is filled entry by
+entry from its product formula, each translation is rendered afresh for each
+loop, and every coset is formed by its own formula: normalizers compare the
+two sides at each element, coset covers are searched over cosets written out
+from the table, and quotients check that the cosets are disjoint and multiply
+well-definedly, then revalidate the table.  Nuclei, commutants and centres scan every pair of a
 subset of the table, and relative substructures scan A inside L's table
 rather than forming A as a loop.  The S-layer oracles write each filter out where it is
 used: "proper subgroup of order >= 2" in the report, the Sylow test and the
@@ -32,7 +33,7 @@ import random
 from functools import cache
 from itertools import combinations, permutations
 
-from loupe import build_ln, cyclic_group, direct_product, symmetric_group
+from loupe import LnParams, build_ln, cyclic_group, direct_product, symmetric_group
 from loupe.coloring import Edge, EdgeColoring, validate_proper
 from loupe.config import DEFAULT_CAPS, Caps
 
@@ -44,6 +45,7 @@ from loupe.core import (
     certify_subloop,
     compose,
     cyclic_closures,
+    default_labels,
     factorize,
     generated_subloop,
     is_commutative_subset,
@@ -80,7 +82,12 @@ from loupe.identities import (
 )
 from loupe.isotopes import principal_isotope
 from loupe.lattice import InclusionLattice, _is_sublattice
-from loupe.representation import Permutation, cycles, right_regular_representation
+from loupe.representation import (
+    Permutation,
+    cycles,
+    render_cycles,
+    right_regular_representation,
+)
 from loupe.smarandache import (
     RelativeKind,
     SReport,
@@ -1289,6 +1296,27 @@ def forbidden_sublattice_by_counting(lat: InclusionLattice, shape: str) -> tuple
         if _is_sublattice(lat, subset) and shape_by_counting(lat, subset) == shape:
             return subset
     return None
+
+
+def build_ln_by_formula(n: int, m: int) -> FiniteLoop:
+    """L_n(m) filled entry by entry: i*i = e and i*j = (m*j - (m-1)*i) mod n in 1..n."""
+    params = LnParams(n, m)
+    size = params.order
+    rows = [tuple(range(size))]
+    for i in range(1, size):
+        row = [i]
+        for j in range(1, size):
+            if i == j:
+                row.append(0)
+            else:
+                row.append((m * j - (m - 1) * i) % n or n)
+        rows.append(tuple(row))
+    return FiniteLoop(size=size, table=tuple(rows), labels=default_labels(size))
+
+
+def render_representation_by_cycles(L: FiniteLoop) -> list[str]:
+    """Each of L's translations walked and rendered on its own, with L's labels."""
+    return [render_cycles(p, L.labels) for p in right_regular_representation(L)]
 
 
 def _matchings(edges: list[Edge], vertices: tuple[int, ...]):

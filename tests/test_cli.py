@@ -1,5 +1,6 @@
 """Command surface: formats, exit codes, determinism."""
 
+import hashlib
 import importlib.util
 import json
 import os
@@ -164,6 +165,23 @@ def test_color_commands(capsys, tmp_path):
     code, _, err = run(capsys, "color", "from-loop", "--ln", "5,3")
     assert code == 2
     assert "right alternative" in err
+
+
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (("--order", "8"), "77030adca21873d52b751dfc18cd8a4cd5ed4d63d14c8c789762eaa9a1a96616"),
+        (
+            ("--order", "6", "--format", "json"),
+            "f6c3b99ba97c5e77e2e8db31fe815a08d4b84fb167cd5b897b037566e79ff4e4",
+        ),
+    ],
+)
+def test_color_enumerate_bytes_are_pinned(capsys, argv, digest):
+    # every loop's block, in order: the rendering of each translation, not just the count line
+    code, out, _ = run(capsys, "color", "enumerate", *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_color_to_loop_names_a_wrong_color_count(capsys, tmp_path):

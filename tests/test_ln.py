@@ -24,6 +24,7 @@ from loupe.representation import cycle_class, right_regular_representation
 from loupe.substructures import first_normalizer, second_normalizer
 
 from conftest import L5_2_TABLE, L5_3_TABLE, L5_4_TABLE, family_params
+from oracles import build_ln_by_formula
 
 
 def table_of(n, m):
@@ -38,6 +39,14 @@ def test_reference_tables():
     assert build_ln(7, 3).table[1] == (1, 0, 4, 7, 3, 6, 2, 5)
     assert build_ln(9, 8).table[1] == (1, 0, 9, 8, 7, 6, 5, 4, 3, 2)
     assert build_ln(9, 5).table[1] == (1, 0, 6, 2, 7, 3, 8, 4, 9, 5)
+
+
+def test_rotated_rows_agree_with_formula_oracle():
+    # row i is the base sequence m*k mod n rotated by i/m - i: same tables and labels
+    params = family_params(59)
+    assert len(params) == 578
+    for n, m in params:
+        assert build_ln(n, m) == build_ln_by_formula(n, m), (n, m)
 
 
 def test_invalid_params():

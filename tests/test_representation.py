@@ -2,7 +2,15 @@
 
 import pytest
 
-from loupe import LnParams, build_ln, certify_subloop, cyclic_group, predicted_cycle_class
+from loupe import (
+    LnParams,
+    build_ln,
+    certify_subloop,
+    cyclic_group,
+    predicted_cycle_class,
+    validate_loop,
+)
+from loupe.coloring import enumerate_involutory_right_alt
 from loupe.core import CycleClass
 from loupe.errors import HasSSubloops, NotAnSSubloop
 from loupe.representation import (
@@ -12,6 +20,7 @@ from loupe.representation import (
     permutation_order,
     render_cycles,
     render_representation,
+    render_representations,
     representation_report,
     right_regular_representation,
     s_pseudo_representation,
@@ -20,6 +29,7 @@ from loupe.representation import (
 )
 
 from conftest import family_params
+from oracles import render_representation_by_cycles
 
 L7_4_LINES = [
     "I",
@@ -35,6 +45,29 @@ L7_4_LINES = [
 
 def test_reference_rendering_matches_frozen_lines():
     assert render_representation(build_ln(7, 4)) == L7_4_LINES
+
+
+def test_rendering_agrees_with_per_loop_oracle(corpus):
+    loops = list(corpus.values())
+    expected = [render_representation_by_cycles(L) for L in loops]
+    assert render_representations(loops) == expected
+    assert [render_representation(L) for L in loops] == expected
+    # orders 2-8 in one call: 6,240 loops at order 8 share 106 distinct translations
+    loops = [L for k in (2, 4, 6, 8) for L in enumerate_involutory_right_alt(k)]
+    assert render_representations(loops) == [render_representation_by_cycles(L) for L in loops]
+
+
+def test_rendering_keeps_each_loops_labels():
+    # equal tables, different labels: a string reused across labels would show the wrong names
+    L = build_ln(7, 4)
+    named = validate_loop(L.table, ["e", "a", "b", "c", "d", "f", "g", "h"])
+    assert named.table == L.table and named.labels != L.labels
+    assert render_representations([L, named, L]) == [
+        L7_4_LINES,
+        render_representation_by_cycles(named),
+        L7_4_LINES,
+    ]
+    assert render_representation(named)[1] == "(e a) (b f c) (d g h)"
 
 
 def test_identity_translation(corpus):
