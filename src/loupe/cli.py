@@ -1,7 +1,10 @@
 """Command-line surface: build, load and analyse finite loops.
 
 Loop files are JSON ({"size", "labels"?, "table"}) or headerless CSV of the
-Cayley table; both are accepted anywhere a loop is an input.  Exit codes:
+Cayley table; both are accepted anywhere a loop is an input.  Each ``cmd_*``
+returns its text rendering and its JSON document, and ``main`` writes one of
+them as the invocation's one result on stdout; errors and diagnostics go to
+stderr.  Exit codes:
 0 when a decision was rendered (pass or fail), 1 for cap/internal errors,
 2 for usage or input errors.  The LOUPE_CAPS environment variable overrides
 resource caps (see loupe.config).
@@ -101,13 +104,6 @@ def parse_subset(L: FiniteLoop, spec: str) -> list[int]:
     return [parse_element(L, tok.strip()) for tok in spec.split(",") if tok.strip()]
 
 
-def emit(args, text_value: str, json_value) -> None:
-    if getattr(args, "format", "text") == "json":
-        print(json.dumps(json_value, indent=2, sort_keys=False))
-    else:
-        print(text_value)
-
-
 def _verdict_doc(v) -> dict:
     doc = {"holds": v.holds}
     if v.witness is not None:
@@ -117,16 +113,14 @@ def _verdict_doc(v) -> dict:
     return doc
 
 
-def cmd_ln(args, caps: Caps) -> int:
+def cmd_ln(args, caps: Caps) -> tuple[str, object]:
     n = args.n
     if args.action == "list":
         ms = enumerate_ln_params(n)
-        emit(
-            args,
+        return (
             "m: " + " ".join(str(m) for m in ms) + f" (count {count_ln(n)})",
             {"n": n, "m": ms, "count": count_ln(n)},
         )
-        return 0
     if args.m is None:
         raise ValueError(f"action {args.action!r} needs --m")
     params = LnParams(n, args.m)
@@ -137,8 +131,7 @@ def cmd_ln(args, caps: Caps) -> int:
         for t, subs in sorted(groups.items()):
             lines.append(f"t={t}: {len(subs)} subloops of order {n // t + 1}")
             doc[str(t)] = [list(S.elements) for S in subs]
-        emit(args, "\n".join(lines), doc)
-        return 0
+        return "\n".join(lines), doc
     L = build_ln(n, args.m)
     if args.action == "classify":
         observed = vars(ln_observed_flags(L))
@@ -148,8 +141,7 @@ def cmd_ln(args, caps: Caps) -> int:
             status = "verified" if predicted == observed[name] else "MISMATCH"
             lines.append(f"{name}={str(predicted).lower()} {status}")
             doc[name] = {"predicted": predicted, "observed": observed[name]}
-        emit(args, "\n".join(lines), doc)
-        return 0
+        return "\n".join(lines), doc
     if args.action == "normalizers":
         lines = []
         doc = []
@@ -173,8 +165,7 @@ def cmd_ln(args, caps: Caps) -> int:
                         "predicted_ok": ok,
                     }
                 )
-        emit(args, "\n".join(lines) if lines else "no proper subloops", doc)
-        return 0
+        return "\n".join(lines) if lines else "no proper subloops", doc
     if args.action == "cycles":
         predicted = predicted_cycle_class(params)
         report = representation.representation_report(L, predicted)
@@ -184,27 +175,21 @@ def cmd_ln(args, caps: Caps) -> int:
             f"matches_prediction={str(report.matches_prediction).lower()} "
             f"transpositions={str(report.transpositions_present).lower()}"
         )
-        emit(
-            args,
-            text,
-            {
-                "predicted": predicted.as_dict(),
-                "uniform": report.uniform_class,
-                "matches_prediction": report.matches_prediction,
-                "transpositions_present": report.transpositions_present,
-            },
-        )
-        return 0
+        return text, {
+            "predicted": predicted.as_dict(),
+            "uniform": report.uniform_class,
+            "matches_prediction": report.matches_prediction,
+            "transpositions_present": report.transpositions_present,
+        }
     # argparse's choices leave "build" as the one action not handled above
-    emit(args, loop_to_csv(L), loop_to_json(L))
-    return 0
+    return loop_to_csv(L), loop_to_json(L)
 
 
 _LAW_LOOKUP = {law.value: law for law in Law}
 _STRICT_LOOKUP = {form.value: form for form in StrictForm}
 
 
-def cmd_check(args, caps: Caps) -> int:
+def cmd_check(args, caps: Caps) -> tuple[str, object]:
     L = resolve_loop(args)
     name = args.law.lower()
     if name in _LAW_LOOKUP:
@@ -221,11 +206,10 @@ def cmd_check(args, caps: Caps) -> int:
             for v in verdict.witness
         )
         text += f" witness=({rendered})"
-    emit(args, text, {"law": name, **_verdict_doc(verdict)})
-    return 0
+    return text, {"law": name, **_verdict_doc(verdict)}
 
 
-def cmd_report(args, caps: Caps) -> int:
+def cmd_report(args, caps: Caps) -> tuple[str, object]:
     L = resolve_loop(args)
     doc: dict = {"loop": {"size": L.size, "labels": list(L.labels)}}
     if L.size <= caps.census_order:
@@ -266,23 +250,15 @@ def cmd_report(args, caps: Caps) -> int:
         }
     except CapExceeded as exc:
         doc["smarandache"] = {"error": str(exc)}
-    if args.format == "json":
-        print(json.dumps(doc, indent=2))
-    else:
-        print(f"loop of order {L.size}")
-        for section, payload in doc.items():
-            if section == "loop":
-                continue
-            print(f"[{section}]")
-            if isinstance(payload, dict):
-                for key, value in payload.items():
-                    print(f"  {key}: {value}")
-            else:
-                print(f"  {payload}")
-    return 0
+    lines = [f"loop of order {L.size}"]
+    for section, payload in doc.items():
+        if section != "loop":
+            lines.append(f"[{section}]")
+            lines.extend(f"  {key}: {value}" for key, value in payload.items())
+    return "\n".join(lines), doc
 
 
-def cmd_substructures(args, caps: Caps) -> int:
+def cmd_substructures(args, caps: Caps) -> tuple[str, object]:
     L = resolve_loop(args)
     census = substructures.all_subloops(L, caps)
     lines = []
@@ -291,11 +267,10 @@ def cmd_substructures(args, caps: Caps) -> int:
         tags = [tag for tag, on in (("subgroup", grp), ("normal", nrm)) if on]
         lines.append(L.render_subset(S.elements) + (" [" + ",".join(tags) + "]" if tags else ""))
         doc.append({"elements": list(S.elements), "subgroup": grp, "normal": nrm})
-    emit(args, "\n".join(lines), doc)
-    return 0
+    return "\n".join(lines), doc
 
 
-def cmd_smarandache(args, caps: Caps) -> int:
+def cmd_smarandache(args, caps: Caps) -> tuple[str, object]:
     L = resolve_loop(args)
     report = smarandache.s_classical_report(L, caps)
     doc = {
@@ -310,13 +285,11 @@ def cmd_smarandache(args, caps: Caps) -> int:
     if report.witness_subgroup:
         lines.append(f"witness: {L.render_subset(report.witness_subgroup)}")
     lines.append(f"s_subloops: {len(report.s_subloops)}")
-    for name, value in report.flags.items():
-        lines.append(f"{name}: {value}")
-    emit(args, "\n".join(lines), doc)
-    return 0
+    lines.extend(f"{name}: {value}" for name, value in report.flags.items())
+    return "\n".join(lines), doc
 
 
-def cmd_represent(args, caps: Caps) -> int:
+def cmd_represent(args, caps: Caps) -> tuple[str, object]:
     L = resolve_loop(args)
     lines = representation.render_representation(L)
     doc = {"permutations": lines}
@@ -326,39 +299,34 @@ def cmd_represent(args, caps: Caps) -> int:
         )
         doc["albert"] = _verdict_doc(verdict)
         lines = lines + [f"albert: {'valid' if verdict.holds else 'invalid'}"]
-    emit(args, "\n".join(lines), doc)
-    return 0
+    return "\n".join(lines), doc
 
 
-def cmd_color(args, caps: Caps) -> int:
+def cmd_color(args, caps: Caps) -> tuple[str, object]:
     if args.action == "enumerate":
         if args.order is None:
             raise ValueError("enumerate needs --order")
         loops = coloring_mod.enumerate_involutory_right_alt(args.order, caps)
         rendered = representation.render_representations(loops)
         text = f"count: {len(loops)}\n\n" + "\n\n".join(map("\n".join, rendered))
-        emit(args, text, {"count": len(loops), "blocks": rendered})
-        return 0
+        return text, {"count": len(loops), "blocks": rendered}
     if args.action == "from-loop":
         L = resolve_loop(args)
         col = coloring_mod.loop_to_coloring(L)
-        emit(
-            args,
-            coloring_mod.coloring_to_text(col),
-            {"n_vertices": col.n_vertices, "edges": [[u, v, c] for (u, v), c in col.color_of]},
-        )
-        return 0
+        return coloring_mod.coloring_to_text(col), {
+            "n_vertices": col.n_vertices,
+            "edges": [[u, v, c] for (u, v), c in col.color_of],
+        }
     # argparse's choices leave "to-loop" as the one action not handled above
     if not args.coloring:
         raise ValueError("to-loop needs --coloring FILE")
     with open(args.coloring, "r", encoding="utf-8") as fh:
         col = coloring_mod.coloring_from_text(fh.read())
     L = coloring_mod.coloring_to_loop(col)
-    emit(args, loop_to_csv(L), loop_to_json(L))
-    return 0
+    return loop_to_csv(L), loop_to_json(L)
 
 
-def cmd_lattice(args, caps: Caps) -> int:
+def cmd_lattice(args, caps: Caps) -> tuple[str, object]:
     L = resolve_loop(args)
     census = substructures.all_subloops(L, caps)
     family = {
@@ -368,62 +336,52 @@ def cmd_lattice(args, caps: Caps) -> int:
     }[args.family]
     lat = lattice_mod.build_lattice(L, family, caps)
     if args.format == "dot":
-        print(lattice_mod.export_dot(lat))
-        return 0
+        return lattice_mod.export_dot(lat), None
     summary = lattice_mod.lattice_summary(lat, caps)
-    if args.format == "json":
-        print(json.dumps(summary, indent=2))
-    else:
-        print(
-            f"nodes: {len(summary['nodes'])}\n"
-            f"modular: {summary['modular']}\n"
-            f"distributive: {summary['distributive']}"
-        )
-    return 0
+    return (
+        f"nodes: {len(summary['nodes'])}\n"
+        f"modular: {summary['modular']}\n"
+        f"distributive: {summary['distributive']}",
+        summary,
+    )
 
 
-def cmd_isotope(args, caps: Caps) -> int:
+def cmd_isotope(args, caps: Caps) -> tuple[str, object]:
     L = resolve_loop(args)
     if args.g_check:
         verdict = isotopes.is_g_loop(L, caps.search)
-        emit(
-            args,
+        return (
             "PASS g-loop" if verdict.holds else f"FAIL g-loop witness={verdict.witness}",
             {"g_loop": _verdict_doc(verdict)},
         )
-        return 0
     if args.a is None or args.b is None:
         raise ValueError("supply --a and --b, or --g-check")
     a = parse_element(L, args.a)
     b = parse_element(L, args.b)
     iso = isotopes.principal_isotope(L, a, b)
-    emit(args, loop_to_csv(iso), loop_to_json(iso))
-    return 0
+    return loop_to_csv(iso), loop_to_json(iso)
 
 
-def cmd_hyperloop(args, caps: Caps) -> int:
+def cmd_hyperloop(args, caps: Caps) -> tuple[str, object]:
     L = resolve_loop(args)
     maker = smarandache.a_hyperloop if args.a_variant else smarandache.hyperloop
     if args.partition_check:
         verdict = smarandache.hyper_partition_check(
             L, "a_hyperloop" if args.a_variant else "hyperloop"
         )
-        emit(
-            args,
+        return (
             "partitions" if verdict.holds else f"does not partition ({verdict.detail})",
             _verdict_doc(verdict),
         )
-        return 0
     if args.q is None:
         raise ValueError("supply --q ELEMENT or --partition-check")
     q = parse_element(L, args.q)
     pairs = sorted(maker(L, q))
     text = " ".join(f"({L.labels[x]},{L.labels[y]})" for x, y in pairs)
-    emit(args, text, {"q": q, "pairs": [list(p) for p in pairs]})
-    return 0
+    return text, {"q": q, "pairs": [list(p) for p in pairs]}
 
 
-def cmd_coset(args, caps: Caps) -> int:
+def cmd_coset(args, caps: Caps) -> tuple[str, object]:
     L = resolve_loop(args)
     A = certify_subloop(L, parse_subset(L, args.subgroup))
     lines = []
@@ -439,8 +397,7 @@ def cmd_coset(args, caps: Caps) -> int:
             else "none"
         ))
         doc["covers"] = [list(reps) for reps in covers]
-    emit(args, "\n".join(lines), doc)
-    return 0
+    return "\n".join(lines), doc
 
 
 @cache
@@ -533,9 +490,10 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:
-        status = args.func(args, caps)
+        text, doc = args.func(args, caps)
+        print(json.dumps(doc, indent=2) if args.format == "json" else text)
         sys.stdout.flush()  # a reader gone early is met here, not at exit
-        return status
+        return 0
     except BrokenPipeError:
         # the reader stopped, which is no input fault; stdout is flushed again
         # at exit, so point it at devnull before that write can fail once more

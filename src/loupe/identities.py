@@ -363,6 +363,8 @@ def multiplication_group(L: FiniteLoop, cap: int = DEFAULT_CAPS.mlt) -> list[tup
     identity = perm(range(n))
     gens = sorted((set(map(perm, L.table)) | set(map(perm, zip(*L.table)))) - {identity})
     seen, moves = {identity}, []
+    if len(seen) > cap:  # the group holds e before any generator is taken
+        raise CapExceeded("multiplication group", cap + 1, cap)
     for s in gens:
         if s in seen:
             continue

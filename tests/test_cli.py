@@ -184,6 +184,86 @@ def test_color_enumerate_bytes_are_pinned(capsys, argv, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# sha256 of stdout for one invocation of each subcommand and format; "K6" stands for a file
+# holding `color from-loop --ln 5,2`'s output
+STDOUT_PINS = {
+    "report --ln 15,8 --format text": "3e93bb006d1904ab6c6cb7761064f42875c14ca1595533b0c4634f9ecdeac46a",
+    "report --ln 15,8 --format json": "60e3802682a990e9a13ff0135cbffab78763fe657d0a76451d7cb19d20ed8670",
+    "smarandache --ln 15,8 --format text": "a0bdb40bd26849e08dd4243d5df1c49c43f965852aa0af950425687bc4f4917a",
+    "smarandache --ln 15,8 --format json": "ebf802ea5509e6e36fca3a3e22a4de6621f9d85256c567360fd3cb0a8b0cb558",
+    "substructures --ln 15,8 --format text": "c58879e354c1aee8de1f1e254c2d3f91e0a53e90e388b8f01c36f3813b68e80d",
+    "substructures --ln 15,8 --format json": "0b74038cabb00661d20f1707585802213f03537520b3cec36749a9b8747b45ef",
+    "lattice --ln 15,8 --family subloops --format text": "8f9dd1da95c597687e488d50dc43baff05183528c923cccff755df886169d81c",
+    "lattice --ln 15,8 --family subloops --format json": "84f37c8eb983681a7260b35b4b688ee06b2bf88a9f09ac28313639d88f3bafd3",
+    "lattice --ln 15,8 --family subloops --format dot": "727da5c62d14dbcb8d7b255865db62b7120e85395534cdbac5d3e03b0107364d",
+    "lattice --ln 15,8 --family subgroups --format text": "9a42cb392dc5a23089b316ab1eacf50c0c9356f543fe1fd469cee4bb5a264ea1",
+    "lattice --ln 15,8 --family subgroups --format json": "77a879797fbef7d364484305ede337b11dcee494d668705c7746a2e069512e18",
+    "lattice --ln 15,8 --family subgroups --format dot": "926638bc7f17859ffe3f75ac969de810a1bcd7b02577b248396180fd3a19d9fd",
+    "lattice --ln 15,8 --family normal --format text": "082b41acb1206296468b0afc245e9c48ba268fe1e02accae5686b8bbdfda426b",
+    "lattice --ln 15,8 --family normal --format json": "22c6f0a356090e62355c8571455bda9b5e974bf8b9e8f00469f0ff0e86dc0c3a",
+    "lattice --ln 15,8 --family normal --format dot": "3a4b1ed2cda864d5a3d12a7372bd836bf6696019f49a304b1e3a2145d687aebc",
+    "ln list --n 15 --m 8 --format text": "ac06c84289fbddaee187c7d4d85df91611cbef12e3674b19a8377debf60ccb22",
+    "ln list --n 15 --m 8 --format json": "d4fbf0e89fa1255b624bffeac9d55b406007447362565d58f9cab2fa9ce4b95d",
+    "ln build --n 15 --m 8 --format text": "bce2b61806a3035b22ef1d827c7b1f22c024766605ab950775203daf0dc9cecc",
+    "ln build --n 15 --m 8 --format json": "ef566d60c0f1c55e33f6cb31c530503156604cb12d6ccb63ddae15a7720f1f50",
+    "ln classify --n 15 --m 8 --format text": "7baeec550e8e3bd77d2999698ab66a847fee2cad1453cd700fe941c1fdc96200",
+    "ln classify --n 15 --m 8 --format json": "6d009fe9895503e4803a8c997a811fa52b5c301c9f9cb18454215809fcc5d951",
+    "ln census --n 15 --m 8 --format text": "6579b8d4135b2f3d9903878389580df8bf7f79600cc1290e52b3d8574092e2fd",
+    "ln census --n 15 --m 8 --format json": "4009e208f14a1a4dd83e8a936e652edb4552b67ac56488d3e4d222c8abc26714",
+    "ln normalizers --n 15 --m 8 --format text": "69d1d25dd3ebd812c303635155daede1359a8664c862b925c3e8df6305bf8c16",
+    "ln normalizers --n 15 --m 8 --format json": "4a896c77177794d14e55ee885efb0b85240913620a370bd3dfc6c00a1462f1ff",
+    "ln cycles --n 15 --m 8 --format text": "e83db6c3a328307fada5fb57ee08f2c3a38c69a5462f29c7355c822c8849c37a",
+    "ln cycles --n 15 --m 8 --format json": "67c236a5bb5626d84e9b3d927b920009869464f7e3a3b4f9e88922ebf749a4bf",
+    "check --ln 5,2 --law bol --format text": "434ee9fa6f07e245be00d49a8002cbd70d6f706ea98145a702ad063d78e55a13",
+    "check --ln 5,2 --law bol --format json": "011c69440579799f5af69ade799958920007ae6fa7c09dd8c96c55c759efd22b",
+    "represent --ln 7,4 --validate --format text": "6deda0c23ee6ee90cd45b41bc1843c0c63f8cbcea3c7f46cb2e572644a05dd13",
+    "represent --ln 7,4 --validate --format json": "184a590502fc820a14e2d9f9668e69985a54499f844764b6517e56cc7f081dc8",
+    "color from-loop --ln 5,2 --format text": "707cfcc84c9515db27256e28412bf11a5c3eecfbc15d6dcb6e85911f74907405",
+    "color from-loop --ln 5,2 --format json": "ee8c6a35152f11ced458a19a9aca989e6e02f47104b76b66c427159623c06c6b",
+    "color to-loop --coloring K6 --format text": "a414231de199a5c2a27a5609206aff95cf95bf275605b8d98519ac64e3a7a860",
+    "color to-loop --coloring K6 --format json": "87e350b31be1110524a4c2f54c477bafddb31bea2ef0abed5a391b9346a5c52c",
+    "isotope --ln 5,3 --a 4 --b e --format text": "0f6d599962d6e2af3442333f683acbd10bad34d272de63ab2989e967b1c703af",
+    "isotope --ln 5,3 --a 4 --b e --format json": "c0576ec66a73e2554159c80e01d36d5ea32b93318c6f87898215cba3d5b0698e",
+    "isotope --g-check --ln 5,2 --format text": "95319774a2f7014738be8b72498bbe0a60d070fcdbfd27dfdc7fac6852936409",
+    "isotope --g-check --ln 5,2 --format json": "4607a7124ac2efa4e952f8fa3f7bdfc54341d8e96d04d73051b220311372ac63",
+    "hyperloop --ln 5,4 --q 5 --format text": "b6fd89fea041e2da1915fbff89d0b5a618d324f6a24549e40c1234d9dd92be2e",
+    "hyperloop --ln 5,4 --q 5 --format json": "43c41a93470a1a77108b4e74ede2816152a0331508099056bf1a44f3641a7773",
+    "hyperloop --ln 5,4 --partition-check --format text": "40f917cde7be098cd82aa0a8b22ab86e25efad23f493eb4e83380a16b505e62e",
+    "hyperloop --ln 5,4 --partition-check --format json": "c750fcd9f524ff1eca8885e00aa513112c84dfcc4289aca7fe61b6a75727350d",
+    "hyperloop --ln 5,4 --partition-check --a-variant --format text": "e8ce6bca0efcf0047045a1c08eeaba8aa4e29f0d3613c504d9c7a87a688edcdb",
+    "hyperloop --ln 5,4 --partition-check --a-variant --format json": "5964c82a20a91acb058ec80c004464dc73334213095029c28ebcf01265963059",
+    "coset --ln 5,2 --subgroup e,1 --cover --side left --format text": "78d5e2d65847290215af1aafb13025cc1fb9d6ef7541581cace223a6fcd5d8f1",
+    "coset --ln 5,2 --subgroup e,1 --cover --side left --format json": "22ad154e48c5766a3b0865712bc1c71513e987a972fd524b3153d467ccb27859",
+    "coset --ln 5,2 --subgroup e,1 --cover --side right --format text": "1f166b3946e7ace76c820e82360d12d70652153274b4a5cbe3740c5e614deb48",
+    "coset --ln 5,2 --subgroup e,1 --cover --side right --format json": "06b8559d36dad4dab24df9b6a5b18340ee2b2a0c185780b52cdcfe0033cfa89a",
+}
+
+
+def _pinned_run(capsys, tmp_path, line):
+    path = tmp_path / "k6.txt"
+    path.write_text(run(capsys, "color", "from-loop", "--ln", "5,2")[1])
+    return run(capsys, *(str(path) if tok == "K6" else tok for tok in line.split()))
+
+
+@pytest.mark.parametrize("line", list(STDOUT_PINS))
+def test_stdout_bytes_are_pinned(capsys, tmp_path, line):
+    code, out, _ = _pinned_run(capsys, tmp_path, line)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == STDOUT_PINS[line]
+
+
+@pytest.mark.parametrize("line", list(STDOUT_PINS))
+def test_each_invocation_writes_one_document(capsys, tmp_path, line):
+    """A JSON result is one document, a text result ends in one newline, and success
+    writes nothing to stderr."""
+    code, out, err = _pinned_run(capsys, tmp_path, line)
+    assert (code, err) == (0, "")
+    if line.endswith("--format json"):
+        json.loads(out)
+    else:
+        assert out.endswith("\n") and not out.endswith("\n\n")
+
+
 def test_color_to_loop_names_a_wrong_color_count(capsys, tmp_path):
     # a proper coloring of K_4 with a fourth color: one class split in two
     path = tmp_path / "coloring.txt"
@@ -287,8 +367,8 @@ def test_parser_is_built_once_and_keeps_no_options_between_calls(capsys):
     assert cli.build_parser() is cli.build_parser()
     for argv, fmt in ((["lattice", "--ln", "5,2"], "dot"), (["report", "--ln", "5,2"], "json")):
         args = cli.build_parser.__wrapped__().parse_args(argv)  # a parser built for this call alone
-        assert args.format == "text" and args.func(args, Caps()) == 0
-        text = capsys.readouterr().out
+        assert args.format == "text"
+        text = args.func(args, Caps())[0] + "\n"  # main's print ends the text in one newline
         _, formatted, _ = run(capsys, *argv, "--format", fmt)
         assert formatted != text
         assert run(capsys, *argv) == (0, text, "")
