@@ -10,10 +10,10 @@ census (``substructures.all_subloops``), the associativity verdict of each
 subset ``is_subgroup`` has decided (keyed by its element tuple, so each
 distinct subloop is checked once per loop; ``is_associative`` is the entry of
 the whole loop), the per-element signatures ``find_isomorphism`` prunes with
-and the generating set it maps (``"gens"``), under ``"inn"``, the order of the
-multiplication group with the sorted inner mapping group
-(``identities.inner_mapping_group``), under ``"associators"``, the set of
-associators of all triples (``substructures._associators``) and, under
+and the generating set it maps (``"gens"``), under ``"inn"``, the sorted inner
+mapping group alone, since |Mlt| = n |Inn| (``identities.inner_mapping_group``;
+Bruck's generators of Inn are composed by Mlt's kernel), under ``"associators"``,
+the set of associators of all triples (``substructures._associators``) and, under
 ``"div"``, the left and right division tables (``division``).  Every kernel that divides reads the same
 ``"div"`` tables, so they are immutable: no caller can corrupt another's
 quotients.  The memo lives exactly as long as its loop, and the constructors

@@ -339,6 +339,16 @@ def special_commutativity(
     raise ValueError(f"unknown kind {kind}")
 
 
+def _permutation_kernel(n: int) -> tuple:
+    """``(perm, then)`` for permutations of ``range(n)``: ``perm`` makes one from
+    its images and ``then(q)`` maps p to p followed by q.  Up to order 256
+    permutations are ``bytes`` and ``p.translate(q + pad)`` applies p then q at
+    C level; above, they are tuples composed by ``compose``."""
+    if n <= 256:
+        return bytes, lambda q, pad=bytes(256 - n): methodcaller("translate", q + pad)
+    return tuple, lambda q: partial(compose, q)
+
+
 def multiplication_group(L: FiniteLoop, cap: int = DEFAULT_CAPS.mlt) -> list[tuple[int, ...]]:
     """Closure of all left/right translations under composition, sorted.
 
@@ -348,19 +358,14 @@ def multiplication_group(L: FiniteLoop, cap: int = DEFAULT_CAPS.mlt) -> list[tup
     from the representative e, every product rt of a representative r with a
     generator t taken so far that is not yet seen brings in its whole coset Hrt
     and becomes a representative; once all products land in known cosets, their
-    union is closed.  Every element is formed once, inside its coset.  Up to
-    order 256 permutations are ``bytes`` and ``p.translate(q + pad)`` applies p
-    then q at C level; above, they are tuples composed by ``compose``.
+    union is closed.  Every element is formed once, inside its coset, and
+    composed by ``_permutation_kernel``.
 
     Raises ``CapExceeded`` (reporting ``cap + 1`` permutations) as soon as the
     group is known to exceed ``cap``, before returning anything partial.
     """
-    n = L.size
-    if n <= 256:
-        perm, then = bytes, lambda q, pad=bytes(256 - n): methodcaller("translate", q + pad)
-    else:
-        perm, then = tuple, lambda q: partial(compose, q)
-    identity = perm(range(n))
+    perm, then = _permutation_kernel(L.size)
+    identity = perm(range(L.size))
     gens = sorted((set(map(perm, L.table)) | set(map(perm, zip(*L.table)))) - {identity})
     seen, moves = {identity}, []
     if len(seen) > cap:  # the group holds e before any generator is taken
@@ -384,16 +389,15 @@ def multiplication_group(L: FiniteLoop, cap: int = DEFAULT_CAPS.mlt) -> list[tup
 def inner_mapping_group(L: FiniteLoop, cap: int = DEFAULT_CAPS.mlt) -> list[tuple[int, ...]]:
     """Members of the multiplication group fixing the identity, sorted.
 
-    Memoised on L as ``(|Mlt|, Inn)``, so Mlt is closed at most once per loop;
-    a memo hit checks ``cap`` against the stored |Mlt| and raises exactly what
-    a fresh closure would.
+    Memoised on L as Inn alone, so Mlt is closed at most once per loop.  Mlt
+    is transitive (R_x sends e to x) and Inn is the stabiliser of e, so
+    |Mlt| = n |Inn|: a memo hit checks ``cap`` against that and raises exactly
+    what a fresh closure would.
     """
-    memo = L._memo.get("inn")
-    if memo is None:
-        mlt = multiplication_group(L, cap)
-        memo = L._memo["inn"] = (len(mlt), tuple(p for p in mlt if p[0] == 0))
-    mlt_order, inn = memo
-    if mlt_order > cap:
+    inn = L._memo.get("inn")
+    if inn is None:
+        inn = L._memo["inn"] = tuple(p for p in multiplication_group(L, cap) if p[0] == 0)
+    elif L.size * len(inn) > cap:
         raise CapExceeded("multiplication group", cap + 1, cap)
     return list(inn)
 
@@ -402,67 +406,62 @@ def _bruck_generators(L: FiniteLoop) -> set[tuple[int, ...]]:
     """Bruck's generators of Inn(L), as permutations z -> zT(x), zR(x,y), zL(x,y).
 
     T(x) = R_x L_x^-1, R(x,y) = R_x R_y R_xy^-1 and L(x,y) = L_x L_y L_yx^-1
-    (Bruck, A Survey of Binary Systems, 1958): at most 2n^2 + n of them.
+    (Bruck, A Survey of Binary Systems, 1958): at most 2n^2 + n of them, composed
+    by Mlt's kernel from the columns R_x, the rows L_x and the division rows
+    (row a of ``ld`` is L_a^-1, row a of ``rd`` is R_a^-1).
     """
     t = L.table
-    n = L.size
-    ld, rd = division(L)
-    gens = {tuple(ld[x][t[z][x]] for z in range(n)) for x in range(n)}
-    for x in range(n):
-        for y in range(n):
-            xy, yx = t[x][y], t[y][x]
-            gens.add(tuple(rd[xy][t[t[z][x]][y]] for z in range(n)))
-            gens.add(tuple(ld[yx][t[y][t[x][z]]] for z in range(n)))
-    return gens
+    perm, then = _permutation_kernel(L.size)
+    rows, cols = list(map(perm, t)), list(map(perm, zip(*t)))
+    after_row, after_col = list(map(then, rows)), list(map(then, cols))
+    after_ld, after_rd = ([then(perm(r)) for r in d] for d in division(L))
+    gens = {after_ld[x](col) for x, col in enumerate(cols)}
+    for x, (row, col) in enumerate(zip(rows, cols)):
+        for y in range(L.size):
+            gens.add(after_rd[t[x][y]](after_col[y](col)))
+            gens.add(after_ld[t[y][x]](after_row[y](row)))
+    return set(map(tuple, gens))
 
 
-def _automorphism_failure(t, theta: tuple[int, ...]) -> tuple[int, int] | None:
-    """First (x, y) in lexicographic order with theta(xy) != theta(x)theta(y)."""
+def _automorphism_failure(t, theta: tuple[int, ...]) -> tuple | None:
+    """``(theta, x, y)`` at the first (x, y) with theta(xy) != theta(x)theta(y)."""
     for x, row in enumerate(t):
         image = t[theta[x]]
         for y, xy in enumerate(row):
             if theta[xy] != image[theta[y]]:
-                return (x, y)
+                return (theta, x, y)
     return None
 
 
-def is_a_loop(L: FiniteLoop, cap: int = DEFAULT_CAPS.mlt) -> Verdict:
-    """Every inner mapping is an automorphism of the loop.
+def _every_inner_mapping(L: FiniteLoop, failure, cap: int) -> Verdict:
+    """Verdict that ``failure`` (a witness at an inner mapping, or None) is None at all.
 
-    Aut(L) is a group, so the law holds once Bruck's generators of Inn(L) are
-    automorphisms, and ``cap`` never binds then.  Otherwise the witness is the
-    first failing inner mapping in sorted order, read from the Mlt closure.
+    The permutations it passes form a group, so the law holds once Bruck's
+    generators of Inn(L) pass, and ``cap`` never binds then; otherwise the
+    witness is read at the first failing inner mapping in sorted order.
     """
-    t = L.table
-    if all(_automorphism_failure(t, theta) is None for theta in _bruck_generators(L)):
+    if all(failure(theta) is None for theta in _bruck_generators(L)):
         return Verdict(True)
-    for theta in inner_mapping_group(L, cap):
-        failure = _automorphism_failure(t, theta)
-        if failure is not None:
-            return Verdict(False, (theta, *failure))
-    raise AssertionError("a generator of Inn is no automorphism, yet every inner mapping is")
+    for witness in map(failure, inner_mapping_group(L, cap)):
+        if witness is not None:
+            return Verdict(False, witness)
+    raise AssertionError("a generator of Inn fails, yet every inner mapping passes")
+
+
+def is_a_loop(L: FiniteLoop, cap: int = DEFAULT_CAPS.mlt) -> Verdict:
+    """Every inner mapping is an automorphism of the loop (Aut(L) is a group)."""
+    return _every_inner_mapping(L, partial(_automorphism_failure, L.table), cap)
 
 
 def is_arif(L: FiniteLoop, cap: int = DEFAULT_CAPS.mlt) -> Verdict:
-    """Inverse-property loop whose inner mappings commute with inversion.
-
-    The centraliser of inversion is a group, so Bruck's generators of Inn(L)
-    decide it as in ``is_a_loop``; only a failure closes Mlt for its witness.
-    """
+    """Inverse-property loop whose inner mappings commute with inversion (their
+    centraliser is a group)."""
     ip = check_law(L, Law.IP)
     if not ip.holds:
         raise NotIPLoop(ip.witness)
     j = tuple(two_sided_inverse(L, x) for x in range(L.size))
-
-    def commutes(theta):
-        return compose(j, compose(theta, j)) == theta
-
-    if all(map(commutes, _bruck_generators(L))):
-        return Verdict(True)
-    for theta in inner_mapping_group(L, cap):
-        if not commutes(theta):
-            return Verdict(False, (theta,))
-    raise AssertionError("a generator of Inn moves inversion, yet no inner mapping does")
+    return _every_inner_mapping(
+        L, lambda theta: None if compose(j, compose(theta, j)) == theta else (theta,), cap)
 
 
 def _nonempty_subsets(size: int, max_size: int):

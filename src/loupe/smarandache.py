@@ -349,12 +349,12 @@ _NO_ASSOCIATIVE_TRIPLE = _law(
 
 def _s_subloop_satisfies(L: FiniteLoop, A: SubLoop, law) -> bool:
     sub = subloop_as_loop(L, A)
+    # two S-laws are laws of check_law: pairwise associativity (xy)x = x(yx) is flexibility
+    law = {SLaw.PAIRWISE_ASSOCIATIVE: Law.FLEXIBLE, SLaw.STEINER: Law.STEINER}.get(law, law)
     if isinstance(law, Law):
         return check_law(sub, law).holds
     if law is SLaw.ASSOCIATIVE_TRIPLE:
         return not _decide(sub.table, None, _NO_ASSOCIATIVE_TRIPLE, range(1, sub.size)).holds
-    if law is SLaw.PAIRWISE_ASSOCIATIVE:
-        return check_law(sub, Law.FLEXIBLE).holds
     if law is SLaw.DIASSOCIATIVE:
         return is_diassociative(sub).holds
     if law is SLaw.POWER_ASSOCIATIVE:
@@ -364,8 +364,6 @@ def _s_subloop_satisfies(L: FiniteLoop, A: SubLoop, law) -> bool:
             return is_arif(sub).holds
         except NotIPLoop:
             return False
-    if law is SLaw.STEINER:
-        return check_law(sub, Law.STEINER).holds
     raise ValueError(f"unknown S-law {law}")
 
 

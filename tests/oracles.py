@@ -7,8 +7,9 @@ column, element orders are found by walking powers, isomorphisms are searched
 without invariant pruning or by backtracking over every element rather than a
 generating set, G-loops are decided by searching every isotope with no
 shortcut from theory, isotopes are revalidated, multiplication groups
-are closed by composing in Python, inner-mapping laws are scanned over every
-inner mapping, each law, strict form and special property is decided by its
+are closed by composing in Python, Bruck's generators are read entry by entry
+from their formulas, inner-mapping laws are scanned over every inner mapping,
+each S-subloop is formed as a loop for its S-law's oracle, each law, strict form and special property is decided by its
 own hand-written branch, lattice joins and covers are found by rescanning
 every node, enumerated colorings are filtered through their forced edge and
 revalidated, loops are colored by walking the cycles of every translation,
@@ -90,6 +91,8 @@ from loupe.representation import (
 )
 from loupe.smarandache import (
     RelativeKind,
+    SLaw,
+    SMode,
     SReport,
     SSubstructures,
     SylowReport,
@@ -602,6 +605,23 @@ def multiplication_group_by_closure(L: FiniteLoop, cap: int) -> list[tuple[int, 
                         raise CapExceeded("multiplication group", len(seen), cap)
         frontier = sorted(fresh)
     return sorted(seen)
+
+
+def bruck_generators_by_formula(L: FiniteLoop) -> set[tuple[int, ...]]:
+    """Bruck's generators z -> zT(x), zR(x,y), zL(x,y) of Inn(L), each entry read
+    from T(x) = R_x L_x^-1, R(x,y) = R_x R_y R_xy^-1 and L(x,y) = L_x L_y L_yx^-1
+    with quotients found by scanning."""
+    t = L.table
+    n = L.size
+    ld = [[ldiv_by_scan(L, a, b) for b in range(n)] for a in range(n)]
+    rd = [[rdiv_by_scan(L, a, b) for b in range(n)] for a in range(n)]
+    gens = {tuple(ld[x][t[z][x]] for z in range(n)) for x in range(n)}
+    for x in range(n):
+        for y in range(n):
+            xy, yx = t[x][y], t[y][x]
+            gens.add(tuple(rd[xy][t[t[z][x]][y]] for z in range(n)))
+            gens.add(tuple(ld[yx][t[y][t[x][z]]] for z in range(n)))
+    return gens
 
 
 def is_a_loop_by_scan(L: FiniteLoop, inn) -> Verdict:
@@ -1136,6 +1156,62 @@ def has_associative_triple_by_scan(sub: FiniteLoop) -> bool:
                 if len({x, y, z}) == 3 and t[t[x][y]][z] == t[x][t[y][z]]:
                     return True
     return False
+
+
+def is_power_associative_by_closures(L: FiniteLoop) -> bool:
+    """Every <x>, closed as a product fixpoint from {e, x}, associates triple by triple."""
+    t = L.table
+    for x in range(L.size):
+        closed = {0, x}
+        while fresh := {t[a][b] for a in closed for b in closed} - closed:
+            closed |= fresh
+        if not is_associative_by_triples(L, closed):
+            return False
+    return True
+
+
+def is_arif_by_closure(L: FiniteLoop, cap: int = DEFAULT_CAPS.mlt) -> bool:
+    """An IP loop whose every inner mapping, from the Python closure of Mlt,
+    commutes with inversion.  When every element is its own inverse, inversion
+    is the identity map and commutes with all of them, so Mlt is not closed:
+    the Steiner loop of order 10 has a multiplication group past any cap."""
+    if not check_law_by_branches(L, Law.IP).holds:
+        return False
+    if all(two_sided_inverse_by_scan(L, x) == x for x in range(L.size)):
+        return True
+    inn = [p for p in multiplication_group_by_closure(L, cap) if p[0] == 0]
+    return is_arif_by_scan(L, inn).holds
+
+
+_S_LAW_ORACLES = {
+    SLaw.ASSOCIATIVE_TRIPLE: has_associative_triple_by_scan,
+    SLaw.PAIRWISE_ASSOCIATIVE: lambda sub: check_law_by_branches(sub, Law.FLEXIBLE).holds,
+    SLaw.DIASSOCIATIVE: lambda sub: is_diassociative_by_pairs(sub).holds,
+    SLaw.POWER_ASSOCIATIVE: is_power_associative_by_closures,
+    SLaw.ARIF: is_arif_by_closure,
+    SLaw.STEINER: lambda sub: check_law_by_branches(sub, Law.STEINER).holds,
+}
+
+
+def s_law_check_by_subloops(L: FiniteLoop, law, mode: SMode) -> Verdict:
+    """Each S-subloop, in census order, formed as a loop and decided by its own
+    oracle: ``check_law_by_branches`` for a ``Law``, the table above for an ``SLaw``."""
+    subloops = s_substructures_by_filter(L).s_subloops
+    if not subloops:
+        if mode is SMode.EXISTS:
+            return Verdict(False, None, "no S-subloops")
+        return Verdict(True, None, "no S-subloops (vacuous)")
+    for A in subloops:
+        sub = subloop_as_loop(L, A)
+        if isinstance(law, Law):
+            holds = check_law_by_branches(sub, law).holds
+        else:
+            holds = _S_LAW_ORACLES[law](sub)
+        if holds and mode is SMode.EXISTS:
+            return Verdict(True, A.elements)
+        if not holds and mode is SMode.FOR_ALL:
+            return Verdict(False, A.elements)
+    return Verdict(mode is SMode.FOR_ALL)
 
 
 _TRIPLE_FORMULAS = {

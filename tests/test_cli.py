@@ -236,27 +236,36 @@ STDOUT_PINS = {
     "coset --ln 5,2 --subgroup e,1 --cover --side left --format json": "22ad154e48c5766a3b0865712bc1c71513e987a972fd524b3153d467ccb27859",
     "coset --ln 5,2 --subgroup e,1 --cover --side right --format text": "1f166b3946e7ace76c820e82360d12d70652153274b4a5cbe3740c5e614deb48",
     "coset --ln 5,2 --subgroup e,1 --cover --side right --format json": "06b8559d36dad4dab24df9b6a5b18340ee2b2a0c185780b52cdcfe0033cfa89a",
+    # cap-degraded outputs: each report section past its cap reads an error, and a
+    # lattice past the sublattice-search cap reads distributive None
+    "LOUPE_CAPS=census_order=10 report --ln 15,8 --format text": "8070d3ca68b6572e2c8696bdb0fc8e59f117a9f6e2e84db57903333f5833e412",
+    "LOUPE_CAPS=census_order=10 report --ln 15,8 --format json": "2614d24e18924eee6078a3a93ed457770667df77168cafbc3a7731bfe275130f",
+    "LOUPE_CAPS=lattice_nodes=5 lattice --ln 5,2 --format text": "cb4d416f18553c1bf1602df61f19d84b9f47e3c20c6a5bee046f652212ef5492",
+    "LOUPE_CAPS=lattice_nodes=5 lattice --ln 5,2 --format json": "587f9b742e63f2df0e4533fe55ccefba5a91dd6ebf55c9597dde923a4e385004",
 }
 
 
-def _pinned_run(capsys, tmp_path, line):
+def _pinned_run(capsys, monkeypatch, tmp_path, line):
     path = tmp_path / "k6.txt"
     path.write_text(run(capsys, "color", "from-loop", "--ln", "5,2")[1])
-    return run(capsys, *(str(path) if tok == "K6" else tok for tok in line.split()))
+    argv = line.split()
+    if argv[0].startswith("LOUPE_CAPS="):  # an environment prefix, read as a shell reads it
+        monkeypatch.setenv(*argv.pop(0).split("=", 1))
+    return run(capsys, *(str(path) if tok == "K6" else tok for tok in argv))
 
 
 @pytest.mark.parametrize("line", list(STDOUT_PINS))
-def test_stdout_bytes_are_pinned(capsys, tmp_path, line):
-    code, out, _ = _pinned_run(capsys, tmp_path, line)
+def test_stdout_bytes_are_pinned(capsys, monkeypatch, tmp_path, line):
+    code, out, _ = _pinned_run(capsys, monkeypatch, tmp_path, line)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == STDOUT_PINS[line]
 
 
 @pytest.mark.parametrize("line", list(STDOUT_PINS))
-def test_each_invocation_writes_one_document(capsys, tmp_path, line):
+def test_each_invocation_writes_one_document(capsys, monkeypatch, tmp_path, line):
     """A JSON result is one document, a text result ends in one newline, and success
     writes nothing to stderr."""
-    code, out, err = _pinned_run(capsys, tmp_path, line)
+    code, out, err = _pinned_run(capsys, monkeypatch, tmp_path, line)
     assert (code, err) == (0, "")
     if line.endswith("--format json"):
         json.loads(out)

@@ -8,7 +8,7 @@ import random
 
 import pytest
 
-from loupe import build_ln, cyclic_group, direct_product, symmetric_group, validate_loop
+from loupe import build_ln, cyclic_group, direct_product, identities, symmetric_group, validate_loop
 from loupe.coloring import enumerate_involutory_right_alt
 from loupe.core import compose, normality_witness
 from loupe.errors import CapExceeded, NotIPLoop
@@ -24,6 +24,7 @@ from loupe.identities import (
 from loupe.substructures import all_subloops
 
 from oracles import (
+    bruck_generators_by_formula,
     is_a_loop_by_scan,
     is_arif_by_scan,
     multiplication_group_by_closure,
@@ -141,6 +142,19 @@ def test_bruck_generators_generate_the_inner_mapping_group(cases):
     assert closed >= 40
 
 
+def test_bruck_generators_composed_by_the_mlt_kernel_agree_with_their_formulas(cases, monkeypatch):
+    """Every corpus loop, each order-8 |Mlt| stratum, the random loops and S_5, on
+    both sides of the kernel: its tuple side, which loops above order 256 take,
+    is forced on the same loops."""
+    tuple_kernel = identities._permutation_kernel(257)
+    for name, L in [(name, L) for name, L, _, _ in cases] + [("S5", symmetric_group(5))]:
+        expected = bruck_generators_by_formula(L)
+        assert _bruck_generators(L) == expected, name
+        with monkeypatch.context() as m:
+            m.setattr(identities, "_permutation_kernel", lambda n: tuple_kernel)
+            assert _bruck_generators(L) == expected, name
+
+
 @pytest.mark.parametrize(
     "L",
     [cyclic_group(1), cyclic_group(2), symmetric_group(3), build_ln(5, 2), build_ln(5, 3)],
@@ -151,7 +165,8 @@ def test_memoised_inner_mapping_group_honours_tighter_caps(L):
     order = len(mlt)
     warm = dataclasses.replace(L)
     inner_mapping_group(warm)
-    assert warm._memo["inn"] == (order, tuple(inn))
+    assert warm._memo["inn"] == tuple(inn)
+    assert len(mlt) == L.size * len(inn)
     # on the trivial loop order - 1 is 0, which e alone exceeds before any generator is taken
     for cap in sorted({1, 2, 3, 2 * L.size + 1, order - 1, order, order + 1}):
         fresh = dataclasses.replace(L)
@@ -192,7 +207,8 @@ def test_inn_memo_is_ignored_by_equality_hashing_and_replace(L, mlt, inn):
     assert multiplication_group(warm) == mlt
     assert inner_mapping_group(warm) == inn
     assert is_a_loop(warm).holds and is_arif(warm).holds
-    assert warm._memo["inn"] == (len(mlt), tuple(inn))
+    assert warm._memo["inn"] == tuple(inn)
+    assert len(mlt) == L.size * len(inn)
     # callers get a fresh list: mutating it leaves the memo intact
     inner_mapping_group(warm).append(None)
     assert inner_mapping_group(warm) == inn

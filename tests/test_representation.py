@@ -13,6 +13,7 @@ from loupe import (
 from loupe.coloring import enumerate_involutory_right_alt
 from loupe.core import CycleClass
 from loupe.errors import HasSSubloops, NotAnSSubloop
+from loupe.identities import Verdict
 from loupe.representation import (
     compose,
     cycle_class,
@@ -95,10 +96,26 @@ def test_albert_conditions():
         perms = right_regular_representation(build_ln(n, m))
         assert validate_albert(perms).holds, (n, m)
     assert not validate_albert([tuple(range(4))]).holds
-    # two permutations agreeing at a point break the quotient condition
+    # the identity and a transposition fixing 0 are not transitive at 0
     bad = [tuple(range(3)), (0, 2, 1)]
     verdict = validate_albert(bad)
     assert not verdict.holds
+
+
+@pytest.mark.parametrize(
+    "perms, witness, detail",
+    [
+        ([], None, "empty set"),
+        ([(0, 1), (0, 1, 2)], None, "mixed sizes"),
+        ([(1, 0)], None, "identity missing"),
+        ([(0, 1, 2), (0, 2, 1)], (0,), "not transitive"),
+        # Z_3's translations and one more permutation: members 0 and 3 both fix 0
+        ([(0, 1, 2), (1, 2, 0), (2, 0, 1), (0, 2, 1)], (0, 3, 0), "two members agree at a point"),
+    ],
+    ids=["empty", "mixed-sizes", "no-identity", "intransitive", "members-agree"],
+)
+def test_albert_failing_verdicts(perms, witness, detail):
+    assert validate_albert(perms) == Verdict(False, witness, detail)
 
 
 def test_representation_report():

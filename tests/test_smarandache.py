@@ -1,5 +1,6 @@
 """Subgroup-bearing structure: S-flags, relative substructures, cosets, hyperloops."""
 
+import collections
 import dataclasses
 import random
 from itertools import count, islice
@@ -17,6 +18,7 @@ from loupe import (
     enumerate_ln_params,
     h_subloop,
     symmetric_group,
+    validate_loop,
 )
 from loupe.core import factorize
 from loupe.errors import (
@@ -70,6 +72,7 @@ from oracles import (
     random_products,
     relative_substructure_by_scan,
     s_classical_report_by_filter,
+    s_law_check_by_subloops,
     s_p_sylow_by_filter,
     s_pseudo_representation_by_filter,
     s_substructures_by_filter,
@@ -302,6 +305,65 @@ def test_s_law_checks():
     assert check_law(L215, Law.WIP).holds  # the whole loop is WIP here
     for n, m in ((5, 2), (15, 2), (15, 8), (21, 5)):
         assert s_law_check(build_ln(n, m), SLaw.PAIRWISE_ASSOCIATIVE, SMode.FOR_ALL).holds
+
+
+def steiner_loop_10():
+    """The Steiner loop of the affine plane AG(2, 3): e and the nine points of
+    Z_3^2, with xx = e and xy the third point of the line through x and y, so
+    x(xy) = y; of order 10, it is no group."""
+    points = [(a, b) for a in range(3) for b in range(3)]
+
+    def mul(x, y):
+        if x == 0 or y == 0:
+            return x + y
+        if x == y:
+            return 0
+        (a, b), (c, d) = points[x - 1], points[y - 1]
+        return 1 + points.index(((-a - c) % 3, (-b - d) % 3))
+
+    return validate_loop([[mul(x, y) for y in range(10)] for x in range(10)])
+
+
+# An IP loop of order 7 that is not ARIF, with the subgroup {e, 1, 2}; found by
+# a backtracking search over tables closed under xy = z => x^-1 z = y, z y^-1 = x.
+IP7_TABLE = [
+    [0, 1, 2, 3, 4, 5, 6],
+    [1, 2, 0, 6, 5, 3, 4],
+    [2, 0, 1, 5, 6, 4, 3],
+    [3, 5, 6, 4, 0, 2, 1],
+    [4, 6, 5, 0, 3, 1, 2],
+    [5, 4, 3, 1, 2, 6, 0],
+    [6, 3, 4, 2, 1, 0, 5],
+]
+
+
+@pytest.fixture(scope="module")
+def s_law_sample(corpus, chein_s3):
+    """The corpus, the seeded random products and three products whose factors
+    are S-subloops that decide laws as no S-subloop of those does: Chein's
+    Moufang loop M(S_3, 2), diassociative and ARIF, the Steiner loop of order
+    10, and an IP loop of order 7 that is not ARIF (an S-subloop is a proper
+    subloop that is no group)."""
+    loops = list(corpus.items()) + [(f"product{i}", P) for i, P in enumerate(random_products())]
+    return loops + [
+        ("M(S3,2)xC2", direct_product(chein_s3, cyclic_group(2))),
+        ("steiner10xC2", direct_product(steiner_loop_10(), cyclic_group(2))),
+        ("IP7xC2", direct_product(validate_loop(IP7_TABLE), cyclic_group(2))),
+    ]
+
+
+@pytest.mark.parametrize("mode", list(SMode), ids=[m.value for m in SMode])
+def test_s_law_check_agrees_with_oracles_on_each_s_subloop(s_law_sample, mode):
+    """Every S-law and every law, each S-subloop formed as a loop and decided by
+    its own oracle; each S-law both holds and fails somewhere in each mode."""
+    outcomes = collections.defaultdict(set)
+    for name, L in s_law_sample:
+        fresh = dataclasses.replace(L)  # cold for the first law, its census memo warm after
+        for law in list(SLaw) + list(Law):
+            expected = s_law_check_by_subloops(L, law, mode)
+            assert s_law_check(fresh, law, mode) == expected, (name, law)
+            outcomes[law].add(expected.holds)
+    assert all(outcomes[law] == {True, False} for law in SLaw), outcomes
 
 
 def test_s_associative_family():
