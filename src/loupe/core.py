@@ -28,7 +28,8 @@ subgroup with no scan and ``normality_witness`` stops after condition 1.  The
 census decides that verdict before any flag.  The verdict of the whole loop
 comes from Light's associativity test over a generating set (n^2 table reads
 per generator); the ordered n^3 triple scan runs on the whole loop only to find
-the first witness of a loop that fails it.
+the first witness of a loop that fails it, and stays hand-written: through the
+law driver of ``identities`` the whole-loop scan of S_5 is 2.5 times slower.
 """
 
 from __future__ import annotations

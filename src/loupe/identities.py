@@ -5,9 +5,10 @@ driver, ``_first_failure``, decides by exhaustive scan over tuples of the
 pass's arity drawn from a domain; a failing Verdict carries the first
 counterexample in lexicographic order, and re-evaluating that witness through
 the table must reproduce the violation.  An existential property (a CA-loop
-element, an associative triple) is the first failure of its negation.
-Semi-right commutativity needs no scan: it holds in every loop by right
-division.  Setting a = e settles the pseudo-associative kinds and most
+element, an associative triple) is the first failure of its negation.  Only
+the four laws that divide (Bruck, WIP, semi-alternative, IP) read division
+tables.  Semi-right commutativity needs no scan: it holds in every loop by
+right division.  Setting a = e settles the pseudo-associative kinds and most
 readings of the pseudo-commutative law (see ``special_commutativity``).
 """
 

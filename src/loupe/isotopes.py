@@ -88,17 +88,13 @@ def s_principal_isotope(L: FiniteLoop, A: SubLoop, a: int, b: int) -> FiniteLoop
 def is_s_g_loop(L: FiniteLoop, caps: Caps = DEFAULT_CAPS) -> Verdict:
     """Some S-subloop is isomorphic to all of its own principal isotopes.
 
-    A loop without S-subloops is never an S-G-loop (there is nothing to take
-    isotopes of at the subloop level).  Each S-subloop's check is bounded by
-    ``caps.search``, as in ``is_g_loop``.
+    Quantified as ``smarandache.s_law_check`` quantifies in ``SMode.EXISTS``,
+    so a loop without S-subloops is never one.  Each S-subloop's check is
+    bounded by ``caps.search``, as in ``is_g_loop``.
     """
-    structures = smarandache.s_substructures(L, caps)
-    if not structures.s_subloops:
-        return Verdict(False, None, "no S-subloops")
-    for A in structures.s_subloops:
-        if is_g_loop(subloop_as_loop(L, A), caps.search):
-            return Verdict(True, A.elements)
-    return Verdict(False)
+    return smarandache._quantify_over_s_subloops(
+        L, lambda A: is_g_loop(subloop_as_loop(L, A), caps.search).holds,
+        smarandache.SMode.EXISTS, caps)
 
 
 __all__ = [

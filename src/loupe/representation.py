@@ -3,7 +3,9 @@
 The right translation by a is the permutation R_a : x -> x*a; the list of
 all of them (in element order) is the right regular representation.  A set
 of permutations arises this way exactly when it contains the identity, acts
-transitively, and no two members agree anywhere.
+transitively, and no two members agree anywhere.  ``loupe color enumerate``
+renders its 6,240 loops of order 8 in one ``render_representations`` call:
+106 distinct translations (K_8's 105 perfect matchings and e), 49,920 lines.
 """
 
 from __future__ import annotations

@@ -179,12 +179,13 @@ class SReport:
 
 
 def _proper_subgroups(L: FiniteLoop, caps: Caps) -> list[SubLoop]:
-    """The census's proper subgroups of order >= 2, in census order."""
+    """The census's proper subgroups of order >= 2, in census order: the report,
+    the strong S-p-Sylow test and pseudo-representations all read this list."""
     return [S for S in all_subloops(L, caps).subgroups() if S.order >= 2 and S.is_proper()]
 
 
 def s_classical_report(L: FiniteLoop, caps: Caps = DEFAULT_CAPS) -> SReport:
-    """Compute every classical-style Smarandache flag by exhaustive scan."""
+    """Compute the 16 classical-style Smarandache flags, as one table, by exhaustive scan."""
     structures = s_substructures(L, caps)
     sl = is_s_loop(L)
     subgroups = _proper_subgroups(L, caps)
@@ -347,7 +348,7 @@ _NO_ASSOCIATIVE_TRIPLE = _law(
     3, lambda t, ld, x, y, z: len({x, y, z}) < 3 or t[t[x][y]][z] != t[x][t[y][z]])
 
 
-def _s_subloop_satisfies(L: FiniteLoop, A: SubLoop, law) -> bool:
+def _s_subloop_satisfies(L: FiniteLoop, A: SubLoop, law, caps: Caps = DEFAULT_CAPS) -> bool:
     sub = subloop_as_loop(L, A)
     # two S-laws are laws of check_law: pairwise associativity (xy)x = x(yx) is flexibility
     law = {SLaw.PAIRWISE_ASSOCIATIVE: Law.FLEXIBLE, SLaw.STEINER: Law.STEINER}.get(law, law)
@@ -359,40 +360,35 @@ def _s_subloop_satisfies(L: FiniteLoop, A: SubLoop, law) -> bool:
         return is_diassociative(sub).holds
     if law is SLaw.POWER_ASSOCIATIVE:
         return is_power_associative(sub).holds
-    if law is SLaw.ARIF:
-        try:
-            return is_arif(sub).holds
-        except NotIPLoop:
-            return False
-    raise ValueError(f"unknown S-law {law}")
+    try:  # SLaw.ARIF, the one S-law left
+        return is_arif(sub, caps.mlt).holds
+    except NotIPLoop:
+        return False
+
+
+def _quantify_over_s_subloops(L: FiniteLoop, holds, mode: SMode, caps: Caps) -> Verdict:
+    """Quantify ``holds(A)`` over the S-subloops A of L; the first A that decides is witness."""
+    subloops = s_substructures(L, caps).s_subloops
+    exists = mode is SMode.EXISTS
+    if not subloops:
+        return Verdict(not exists, None, "no S-subloops" if exists else "no S-subloops (vacuous)")
+    decider = next((A for A in subloops if holds(A) == exists), None)
+    return Verdict(not exists) if decider is None else Verdict(exists, decider.elements)
 
 
 def s_law_check(
-    L: FiniteLoop,
-    law,
-    mode: SMode = SMode.EXISTS,
-    caps: Caps = DEFAULT_CAPS,
+    L: FiniteLoop, law, mode: SMode = SMode.EXISTS, caps: Caps = DEFAULT_CAPS
 ) -> Verdict:
-    """Quantify an identity or structural property over the S-subloops of L.
+    """Quantify a ``Law`` or an ``SLaw`` over the S-subloops of L.
 
     With no S-subloops at all, existential checks fail and universal checks
-    hold vacuously; the detail string records that situation.
+    hold vacuously; the detail string records that situation.  Any other
+    ``law`` raises ``ValueError``, whether or not L has S-subloops.
     """
-    structures = s_substructures(L, caps)
-    subloops = structures.s_subloops
-    if not subloops:
-        if mode is SMode.EXISTS:
-            return Verdict(False, None, "no S-subloops")
-        return Verdict(True, None, "no S-subloops (vacuous)")
-    if mode is SMode.EXISTS:
-        for A in subloops:
-            if _s_subloop_satisfies(L, A, law):
-                return Verdict(True, A.elements)
-        return Verdict(False)
-    for A in subloops:
-        if not _s_subloop_satisfies(L, A, law):
-            return Verdict(False, A.elements)
-    return Verdict(True)
+    if not isinstance(law, (Law, SLaw)):
+        raise ValueError(f"unknown S-law {law}")
+    return _quantify_over_s_subloops(
+        L, lambda A: _s_subloop_satisfies(L, A, law, caps), mode, caps)
 
 
 class TripleLaw(enum.Enum):

@@ -1214,6 +1214,18 @@ def s_law_check_by_subloops(L: FiniteLoop, law, mode: SMode) -> Verdict:
     return Verdict(mode is SMode.FOR_ALL)
 
 
+def is_s_g_loop_by_subloops(L: FiniteLoop) -> Verdict:
+    """The first S-subloop, in census order, formed as a loop and found
+    isomorphic to each of its principal isotopes by ``is_g_loop_by_isotopes``."""
+    subloops = s_substructures_by_filter(L).s_subloops
+    if not subloops:
+        return Verdict(False, None, "no S-subloops")
+    for A in subloops:
+        if is_g_loop_by_isotopes(subloop_as_loop(L, A)).holds:
+            return Verdict(True, A.elements)
+    return Verdict(False)
+
+
 _TRIPLE_FORMULAS = {
     TripleLaw.BOL: _TERNARY_LAWS[Law.BOL],
     TripleLaw.MOUFANG: _TERNARY_LAWS[Law.MOUFANG1],

@@ -23,6 +23,7 @@ from loupe import (
 from loupe.core import factorize
 from loupe.errors import (
     BadIndex,
+    CapExceeded,
     HasSSubloops,
     NotASubgroup,
     NotNormal,
@@ -31,6 +32,7 @@ from loupe.errors import (
     SearchCapExceeded,
 )
 from loupe.identities import Law, Verdict
+from loupe.isotopes import is_s_g_loop
 from loupe.representation import s_pseudo_representation
 from loupe.smarandache import (
     RelativeKind,
@@ -64,6 +66,7 @@ from oracles import (
     commutant_by_scan,
     hyper_partition_check_by_scan,
     hyperloop_by_pairs,
+    is_s_g_loop_by_subloops,
     is_s_loop_by_filter,
     is_s_subloop_by_filter,
     moufang_centre_by_scan,
@@ -364,6 +367,44 @@ def test_s_law_check_agrees_with_oracles_on_each_s_subloop(s_law_sample, mode):
             assert s_law_check(fresh, law, mode) == expected, (name, law)
             outcomes[law].add(expected.holds)
     assert all(outcomes[law] == {True, False} for law in SLaw), outcomes
+
+
+@pytest.mark.parametrize("mode", list(SMode), ids=[m.value for m in SMode])
+def test_s_law_arif_closes_each_mlt_under_the_cap(mode):
+    """The ARIF S-law closes an S-subloop's Mlt under ``caps.mlt``: the IP7
+    factor's group of 5,040 permutations trips a cap of 10 in either mode, on a
+    cold loop and again once the default caps have decided it on a warm census."""
+    L = direct_product(validate_loop(IP7_TABLE), cyclic_group(2))
+    with pytest.raises(CapExceeded, match=r"\(11 > 10\)"):
+        s_law_check(L, SLaw.ARIF, mode, Caps(mlt=10))
+    expected = {SMode.EXISTS: Verdict(False), SMode.FOR_ALL: Verdict(False, tuple(range(0, 14, 2)))}
+    assert s_law_check(L, SLaw.ARIF, mode) == expected[mode]
+    with pytest.raises(CapExceeded, match=r"\(11 > 10\)"):
+        s_law_check(L, SLaw.ARIF, mode, Caps(mlt=10))
+
+
+@pytest.mark.parametrize("mode", list(SMode), ids=[m.value for m in SMode])
+def test_unknown_s_law_is_rejected_with_or_without_s_subloops(mode):
+    # L_5(2) has no S-subloops, L_15(8) has some
+    for n, m in ((5, 2), (15, 8)):
+        with pytest.raises(ValueError, match="unknown S-law bogus"):
+            s_law_check(build_ln(n, m), "bogus", mode)
+
+
+def test_is_s_g_loop_agrees_with_oracle_on_each_s_subloop(s_law_sample, chein_s3):
+    """``is_s_g_loop`` quantifies over the S-subloops as ``s_law_check`` does;
+    cold and warm it matches the isotope-by-isotope oracle, and each outcome
+    occurs: a witness, no S-subloops, and S-subloops none of which is a G-loop."""
+    outcomes = {}
+    for name, L in s_law_sample + [("M(S3,2)", chein_s3)]:
+        expected = outcomes[name] = is_s_g_loop_by_subloops(L)
+        fresh = dataclasses.replace(L)
+        assert is_s_g_loop(fresh) == expected, name
+        assert is_s_g_loop(fresh) == expected, name
+    assert outcomes["M(S3,2)xC2"] == Verdict(True, tuple(range(0, 24, 2)))
+    assert outcomes["M(S3,2)"] == Verdict(False, None, "no S-subloops")
+    assert outcomes["L5(2)xS3"] == Verdict(False)
+    assert len(s_substructures_by_filter(dict(s_law_sample)["L5(2)xS3"]).s_subloops) == 5
 
 
 def test_s_associative_family():
