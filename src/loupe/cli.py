@@ -485,12 +485,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        caps = Caps.from_env()
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        text, doc = args.func(args, caps)
+        text, doc = args.func(args, Caps.from_env())
         print(json.dumps(doc, indent=2) if args.format == "json" else text)
         sys.stdout.flush()  # a reader gone early is met here, not at exit
         return 0

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .config import DEFAULT_CAPS, Caps
-from .core import FiniteLoop, Verdict, default_labels
+from .core import FiniteLoop, Verdict, _first_repeat, default_labels
 from .errors import (
     ImproperColoring,
     NotInvolutory,
@@ -71,14 +71,9 @@ class EdgeColoring:
 
 def validate_proper(coloring: EdgeColoring) -> Verdict:
     """No two edges meeting at a vertex share a color; witness = (vertex, color)."""
-    seen: set[tuple[int, int]] = set()
-    for (u, v), c in coloring.color_of:
-        for vertex in (u, v):
-            key = (vertex, c)
-            if key in seen:
-                return Verdict(False, key)
-            seen.add(key)
-    return Verdict(True)
+    keys = [(vertex, c) for edge, c in coloring.color_of for vertex in edge]
+    repeat = _first_repeat(keys)
+    return Verdict(True) if repeat is None else Verdict(False, keys[repeat[1]])
 
 
 def _column(n: int, matching) -> tuple[int, ...]:

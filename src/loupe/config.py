@@ -3,7 +3,8 @@
 Every cap is a hard bound: when a search or closure would exceed it the
 operation raises a ``CapExceeded`` subclass instead of returning partial
 results.  The ``LOUPE_CAPS`` environment variable overrides defaults with
-comma-separated ``key=value`` pairs, e.g. ``LOUPE_CAPS=census=10000,census_order=120``.
+comma-separated ``key=value`` pairs, e.g. ``LOUPE_CAPS=census=10000,census_order=120``;
+an unknown key raises ``ValueError``.  ``up_tup_check`` takes its subset size as an argument.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ class Caps:
     census_order: int = 60      # max loop order for census-backed reports
     mlt: int = 50_000           # max permutations in a multiplication-group closure
     search: int = 1000          # max solutions in coset-cover / enumeration searches
-    subset: int = 3             # max subset size for u.p. / t.u.p. scans
     lattice_nodes: int = 40     # max lattice size for forbidden-sublattice search
     lattice_build: int = 2000   # max nodes while closing a lattice family
     color_search: int = 1_000_000  # max matching candidates while enumerating colorings

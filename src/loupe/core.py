@@ -4,12 +4,13 @@ A loop is a set with a binary product, a two-sided identity and unique left
 and right division; associativity is not assumed.  Elements are plain ints
 indexing into the table, with the identity pinned at index 0.  Tables and
 labels are immutable after construction and every operation is a pure
-function of them.  A ``FiniteLoop`` also memoises the derived data that
-many kernels share: its cyclic closures (``cyclic_closures``), its subloop
-census (``substructures.all_subloops``), the associativity verdict of each
-subset ``is_subgroup`` has decided (keyed by its element tuple, so each
-distinct subloop is checked once per loop; ``is_associative`` is the entry of
-the whole loop), the per-element signatures ``find_isomorphism`` prunes with
+function of them.  A ``FiniteLoop`` also memoises the derived data that many
+kernels share: its cyclic closures (``cyclic_closures``, which the element
+signatures and ``power_ambiguity`` read), its subloop census
+(``substructures.all_subloops``), the associativity verdict of each subset
+``is_subgroup`` has decided (keyed by its element tuple, so each distinct
+subloop is checked once per loop; ``is_associative`` is the entry of the whole
+loop), the per-element signatures ``find_isomorphism`` prunes with
 and the generating set it maps (``"gens"``), under ``"inn"``, the sorted inner
 mapping group alone, since |Mlt| = n |Inn| (``identities.inner_mapping_group``;
 Bruck's generators of Inn are composed by Mlt's kernel), under ``"associators"``,
@@ -173,25 +174,21 @@ def validate_loop(table, labels=None) -> FiniteLoop:
     for i, row in enumerate(rows):
         if len(row) != size:
             raise ValueError(f"row {i} has length {len(row)}, expected {size}")
-        seen = set()
-        for v in row:
-            if not 0 <= v < size:
-                raise ValueError(f"entry {v} in row {i} out of range")
-            if v in seen:
-                raise LatinRowViolation(i, v)
-            seen.add(v)
-    for j in range(size):
-        seen = set()
-        for i in range(size):
-            v = rows[i][j]
-            if v in seen:
-                raise LatinColumnViolation(j, v)
-            seen.add(v)
-    identity = None
-    for k in range(size):
-        if all(rows[k][x] == x for x in range(size)) and all(rows[x][k] == x for x in range(size)):
-            identity = k
-            break
+        # a repeat before the first out-of-range entry is reported first, as a scan meets it
+        end = size if min(row) >= 0 and max(row) < size else next(
+            k for k, v in enumerate(row) if not 0 <= v < size)
+        repeat = _first_repeat(row[:end])
+        if repeat is not None:
+            raise LatinRowViolation(i, row[repeat[1]])
+        if end < size:
+            raise ValueError(f"entry {row[end]} in row {i} out of range")
+    columns = tuple(zip(*rows))
+    for j, column in enumerate(columns):
+        repeat = _first_repeat(column)
+        if repeat is not None:
+            raise LatinColumnViolation(j, column[repeat[1]])
+    ident = tuple(range(size))
+    identity = next((k for k in range(size) if rows[k] == ident and columns[k] == ident), None)
     if identity is None:
         raise NoIdentity()
     if labels is None:
@@ -205,6 +202,18 @@ def validate_loop(table, labels=None) -> FiniteLoop:
         if len(set(labs)) != size:
             raise ValueError("labels must be distinct")
     return _identity_first(rows, labs, identity)
+
+
+def _first_repeat(line) -> tuple[int, int] | None:
+    """``(i, j)``, i < j, with ``line[i] == line[j]`` at the smallest such j, or None when
+    the values are distinct: one set decides, and only a failing line is scanned."""
+    if len(set(line)) == len(line):
+        return None
+    first: dict = {}
+    for j, v in enumerate(line):
+        i = first.setdefault(v, j)
+        if i != j:
+            return (i, j)
 
 
 def _identity_first(rows, labs, identity: int) -> FiniteLoop:
@@ -544,12 +553,8 @@ def _element_signatures(L: FiniteLoop) -> list[tuple]:
     if sigs is None:
         t = L.table
         sigs = L._memo["signatures"] = [
-            (
-                len(generated_subloop(L, (x,)).elements),
-                t[x][x] == 0,
-                sum(1 for y in range(L.size) if t[x][y] == t[y][x]),
-            )
-            for x in range(L.size)
+            (S.order, t[x][x] == 0, sum(1 for y in range(L.size) if t[x][y] == t[y][x]))
+            for x, (S, _) in enumerate(cyclic_closures(L))
         ]
     return sigs
 
@@ -695,7 +700,8 @@ def factorize(n: int) -> list[tuple[int, int]]:
 
 def power_ambiguity(L: FiniteLoop, x: int) -> tuple[int, int, int] | None:
     """An associativity failure inside <x>, or None when x has a clean order."""
-    return _associativity_failure(L.table, generated_subloop(L, (x,)).elements)
+    S, is_group = cyclic_closures(L)[x]
+    return None if is_group else _associativity_failure(L.table, S.elements)
 
 
 def is_associative(L: FiniteLoop) -> bool:

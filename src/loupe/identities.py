@@ -470,7 +470,7 @@ def _nonempty_subsets(size: int, max_size: int):
     return chain.from_iterable(combinations(elems, r) for r in range(1, max_size + 1))
 
 
-def up_tup_check(L: FiniteLoop, mode: str, max_subset_size: int = DEFAULT_CAPS.subset) -> Verdict:
+def up_tup_check(L: FiniteLoop, mode: str, max_subset_size: int = 3) -> Verdict:
     """Unique-product scans over bounded subset pairs.
 
     ``mode`` is "up" (at least one uniquely represented product per pair) or

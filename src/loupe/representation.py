@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 from .config import DEFAULT_CAPS, Caps
 from .core import CycleClass, FiniteLoop, SubLoop, Verdict, compose, cycles, permutation_order
+from .core import _first_repeat
 from .errors import HasSSubloops, NotAnSSubloop
 from . import smarandache
 
@@ -83,19 +84,14 @@ def validate_albert(perms: list[Permutation]) -> Verdict:
     identity = tuple(range(size))
     if identity not in perms:
         return Verdict(False, None, "identity missing")
-    for a in range(size):
-        images = {p[a] for p in perms}
-        if images != set(range(size)):
+    columns = list(zip(*perms))  # columns[x] holds every member's image of x
+    for a, images in enumerate(columns):
+        if set(images) != set(range(size)):
             return Verdict(False, (a,), "not transitive")
-    for x in range(size):
-        seen: dict[int, int] = {}
-        for i, p in enumerate(perms):
-            v = p[x]
-            if v in seen:
-                return Verdict(
-                    False, (seen[v], i, x), "two members agree at a point"
-                )
-            seen[v] = i
+    for x, images in enumerate(columns):
+        repeat = _first_repeat(images)
+        if repeat is not None:
+            return Verdict(False, (*repeat, x), "two members agree at a point")
     return Verdict(True)
 
 
@@ -142,8 +138,7 @@ def s_pseudo_representation(
     L: FiniteLoop, caps: Caps = DEFAULT_CAPS
 ) -> list[tuple[SubLoop, list[Permutation]]]:
     """Per-subgroup translation sets for an S-loop with no S-subloops."""
-    structures = smarandache.s_substructures(L, caps)
-    if structures.s_subloops:
+    if smarandache._s_subloops(L, caps):
         raise HasSSubloops("loop has S-subloops; use s_representation instead")
     perms = right_regular_representation(L)
     return [(B, [perms[b] for b in B.elements]) for B in smarandache._proper_subgroups(L, caps)]

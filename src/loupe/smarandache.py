@@ -107,6 +107,11 @@ class SSubstructures:
     s_subgroup_loop: bool
 
 
+def _s_subloops(L: FiniteLoop, caps: Caps) -> tuple[SubLoop, ...]:
+    """The census's S-subloops, in census order."""
+    return tuple(S for S in all_subloops(L, caps).subloops if is_s_subloop(L, S))
+
+
 def s_substructures(L: FiniteLoop, caps: Caps = DEFAULT_CAPS) -> SSubstructures:
     """S-subloops and S-normal subloops from the census.
 
@@ -115,7 +120,6 @@ def s_substructures(L: FiniteLoop, caps: Caps = DEFAULT_CAPS) -> SSubstructures:
     subgroup loop is an S-loop whose proper nontrivial subloops are all groups.
     """
     census = all_subloops(L, caps)
-    s_subs = tuple(S for S in census.subloops if is_s_subloop(L, S))
     s_normal = tuple(
         S for S in census.normal_subloops() if S.is_proper() and _smallest_proper_group(L, S)
     )
@@ -125,7 +129,7 @@ def s_substructures(L: FiniteLoop, caps: Caps = DEFAULT_CAPS) -> SSubstructures:
         if S.is_proper() and not S.is_trivial()
     )
     return SSubstructures(
-        s_subloops=s_subs,
+        s_subloops=_s_subloops(L, caps),
         s_normal_subloops=s_normal,
         s_simple=not s_normal,
         s_subgroup_loop=subgroup_loop,
@@ -368,7 +372,7 @@ def _s_subloop_satisfies(L: FiniteLoop, A: SubLoop, law, caps: Caps = DEFAULT_CA
 
 def _quantify_over_s_subloops(L: FiniteLoop, holds, mode: SMode, caps: Caps) -> Verdict:
     """Quantify ``holds(A)`` over the S-subloops A of L; the first A that decides is witness."""
-    subloops = s_substructures(L, caps).s_subloops
+    subloops = _s_subloops(L, caps)
     exists = mode is SMode.EXISTS
     if not subloops:
         return Verdict(not exists, None, "no S-subloops" if exists else "no S-subloops (vacuous)")

@@ -68,6 +68,24 @@ CLOOP_12_TABLE = [
 ]
 
 
+# An order-8 loop whose subloop {e, 1} passes normality conditions 1 and 2 and
+# fails condition 3: the block of v*y among the cosets {2i, 2i+1} depends only
+# on the block of v, the block of y*v does not.  Its transpose fails condition
+# 2 instead.  Neither the 60 seeded random loops of order 4-9 that test_mlt's
+# normality test draws nor their transposes have such a subloop, and an
+# exhaustive search of the 9,408 loops of order 6 found none.
+KIND3_8_TABLE = [
+    [0, 1, 2, 3, 4, 5, 6, 7],
+    [1, 0, 3, 2, 5, 4, 7, 6],
+    [2, 3, 4, 0, 6, 7, 5, 1],
+    [3, 2, 5, 1, 7, 6, 4, 0],
+    [4, 5, 6, 7, 2, 1, 0, 3],
+    [5, 4, 7, 6, 3, 0, 1, 2],
+    [6, 7, 1, 5, 0, 3, 2, 4],
+    [7, 6, 0, 4, 1, 2, 3, 5],
+]
+
+
 def family_params(max_n: int) -> list[tuple[int, int]]:
     from loupe import enumerate_ln_params
 

@@ -1,6 +1,8 @@
 """Brute-force reference implementations the library's fast paths are checked against.
 
-Each oracle recomputes from the table alone, with no memoised data: closures
+Each oracle recomputes from the table alone, with no memoised data: Cayley
+tables, colorings and Albert's permutation sets are certified by scanning each
+line entry by entry against the values already seen, closures
 are formed afresh, a group's census closes every extension by the all-pairs
 product fixpoint rather than a coset search, associativity is a triple scan, division scans a row or a
 column, element orders are found by walking powers, isomorphisms are searched
@@ -31,17 +33,19 @@ with the report's flag names checked against a list.
 from __future__ import annotations
 
 import random
+from collections.abc import Sequence
 from functools import cache
-from itertools import combinations, permutations
+from itertools import chain, combinations, permutations
 
 from loupe import LnParams, build_ln, cyclic_group, direct_product, symmetric_group
-from loupe.coloring import Edge, EdgeColoring, validate_proper
+from loupe.coloring import Edge, EdgeColoring
 from loupe.config import DEFAULT_CAPS, Caps
 
 from loupe.core import (
     FiniteLoop,
     SubLoop,
     _close,
+    _identity_first,
     _cosets,
     certify_subloop,
     compose,
@@ -63,6 +67,9 @@ from loupe.errors import (
     ClosureBlowup,
     HasSSubloops,
     ImproperColoring,
+    LatinColumnViolation,
+    LatinRowViolation,
+    NoIdentity,
     NotASubgroup,
     NotClosed,
     NotInvolutory,
@@ -104,6 +111,94 @@ from loupe.smarandache import (
     satisfies_sylow_criteria,
 )
 from loupe.substructures import NucleusPosition, SubloopCensus, all_subloops
+
+
+def validate_loop_by_scan(table, labels=None) -> FiniteLoop:
+    """``validate_loop`` with its rows and columns scanned entry by entry against a
+    set of the values seen so far, and the identity found by comparing every entry."""
+    try:
+        rows = tuple(map(tuple, table))
+    except TypeError:
+        raise ValueError("table must be a sequence of rows") from None
+    if not set(map(type, chain.from_iterable(rows))) <= {int}:
+        i, v = next((i, v) for i, row in enumerate(rows) for v in row if type(v) is not int)
+        raise ValueError(f"entry {v!r} in row {i} is not an integer")
+    size = len(rows)
+    if size == 0:
+        raise NoIdentity()
+    for i, row in enumerate(rows):
+        if len(row) != size:
+            raise ValueError(f"row {i} has length {len(row)}, expected {size}")
+        seen = set()
+        for v in row:
+            if not 0 <= v < size:
+                raise ValueError(f"entry {v} in row {i} out of range")
+            if v in seen:
+                raise LatinRowViolation(i, v)
+            seen.add(v)
+    for j in range(size):
+        seen = set()
+        for i in range(size):
+            v = rows[i][j]
+            if v in seen:
+                raise LatinColumnViolation(j, v)
+            seen.add(v)
+    identity = None
+    for k in range(size):
+        if all(rows[k][x] == x for x in range(size)) and all(rows[x][k] == x for x in range(size)):
+            identity = k
+            break
+    if identity is None:
+        raise NoIdentity()
+    if labels is None:
+        labs = default_labels(size)
+    else:
+        if isinstance(labels, str) or not isinstance(labels, Sequence):
+            raise ValueError("labels must be a sequence of names")
+        labs = tuple(str(s) for s in labels)
+        if len(labs) != size:
+            raise ValueError("labels length must match table size")
+        if len(set(labs)) != size:
+            raise ValueError("labels must be distinct")
+    return _identity_first(rows, labs, identity)
+
+
+def validate_proper_by_scan(coloring: EdgeColoring) -> Verdict:
+    """``validate_proper`` with each (vertex, color) checked against a set of those seen."""
+    seen: set[tuple[int, int]] = set()
+    for (u, v), c in coloring.color_of:
+        for vertex in (u, v):
+            key = (vertex, c)
+            if key in seen:
+                return Verdict(False, key)
+            seen.add(key)
+    return Verdict(True)
+
+
+def validate_albert_by_scan(perms: list[Permutation]) -> Verdict:
+    """``validate_albert`` with each point's images read member by member into a dict."""
+    if not perms:
+        return Verdict(False, None, "empty set")
+    size = len(perms[0])
+    if any(len(p) != size for p in perms):
+        return Verdict(False, None, "mixed sizes")
+    identity = tuple(range(size))
+    if identity not in perms:
+        return Verdict(False, None, "identity missing")
+    for a in range(size):
+        images = {p[a] for p in perms}
+        if images != set(range(size)):
+            return Verdict(False, (a,), "not transitive")
+    for x in range(size):
+        seen: dict[int, int] = {}
+        for i, p in enumerate(perms):
+            v = p[x]
+            if v in seen:
+                return Verdict(
+                    False, (seen[v], i, x), "two members agree at a point"
+                )
+            seen[v] = i
+    return Verdict(True)
 
 
 def is_associative_by_triples(L: FiniteLoop, elems) -> bool:
@@ -1509,7 +1604,7 @@ def coloring_to_loop_by_validation(
     labeled v, which makes vertex 0 the identity; a labeling inconsistent
     with that star fails loop validation.
     """
-    proper = validate_proper(coloring)
+    proper = validate_proper_by_scan(coloring)
     if not proper.holds:
         raise ImproperColoring(*proper.witness)
     n = coloring.n_vertices

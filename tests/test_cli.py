@@ -401,6 +401,15 @@ def test_caps_parsing():
         Caps.from_env("nope=3")
 
 
+def test_subset_is_no_cap(monkeypatch, capsys):
+    # up_tup_check takes its subset bound as an argument; no Caps field holds it
+    with pytest.raises(ValueError, match="^unknown cap 'subset' in LOUPE_CAPS$"):
+        Caps.from_env("subset=3")
+    monkeypatch.setenv("LOUPE_CAPS", "subset=3")
+    assert run(capsys, "check", "--ln", "5,2", "--law", "bol") == (
+        2, "", "error: unknown cap 'subset' in LOUPE_CAPS\n")
+
+
 def test_report_rejects_float_table(capsys, tmp_path):
     path = tmp_path / "float.json"
     path.write_text('{"table": [[0.5, 1], [1, 0]]}')

@@ -23,6 +23,7 @@ from loupe.identities import (
 )
 from loupe.substructures import all_subloops
 
+from conftest import KIND3_8_TABLE
 from oracles import (
     bruck_generators_by_formula,
     is_a_loop_by_scan,
@@ -219,27 +220,10 @@ def test_inn_memo_is_ignored_by_equality_hashing_and_replace(L, mlt, inn):
     assert repr(warm) == repr(cold)
 
 
-# An order-8 loop whose subloop {e, 1} passes normality conditions 1 and 2 and
-# fails condition 3: the block of v*y among the cosets {2i, 2i+1} depends only
-# on the block of v, the block of y*v does not.  Its transpose fails condition
-# 2 instead.  Neither the 60 random loops below nor their transposes have such
-# a subloop, and an exhaustive search of the 9,408 loops of order 6 found none.
-KIND3_8_TABLE = [
-    [0, 1, 2, 3, 4, 5, 6, 7],
-    [1, 0, 3, 2, 5, 4, 7, 6],
-    [2, 3, 4, 0, 6, 7, 5, 1],
-    [3, 2, 5, 1, 7, 6, 4, 0],
-    [4, 5, 6, 7, 2, 1, 0, 3],
-    [5, 4, 7, 6, 3, 0, 1, 2],
-    [6, 7, 1, 5, 0, 3, 2, 4],
-    [7, 6, 0, 4, 1, 2, 3, 5],
-]
-
-
 def test_trimmed_normality_witness_agrees_with_full_scan(corpus, klein):
     """Cold (fresh memo, no census) and warm (after the census) on the corpus,
     five more products, 60 random loops of order 4-9 and the order-8 loop
-    above, these last 61 each with its transpose."""
+    ``KIND3_8_TABLE``, these last 61 each with its transpose."""
     s3 = symmetric_group(3)
     loops = list(corpus.items()) + [
         ("S4", symmetric_group(4)),
